@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .element import BicomplexElement
 from .polys import IntPoly, Poly, cyclotomic, is_squarefree, sturm_real_root_count
-from .scalars import GaussianRational
+from .scalars import GaussianRational, QuadRational
 
 
 class RootConvergenceError(ArithmeticError):
@@ -103,7 +103,7 @@ class RootPartition:
                 len(self.plane_k), len(self.generic))
 
 
-def _check_root_set(roots: tuple[GaussianRational, ...]):
+def _check_root_set(roots: tuple[QuadRational, ...]):
     if len(set(roots)) != len(roots):
         raise ValueError("duplicate roots in root set")
     have = set(roots)
@@ -112,7 +112,7 @@ def _check_root_set(roots: tuple[GaussianRational, ...]):
             raise ValueError(f"root set is not closed under conjugation: {root} unpaired")
 
 
-def classify_pair(alpha: GaussianRational, beta: GaussianRational) -> str:
+def classify_pair(alpha: QuadRational, beta: QuadRational) -> str:
     """Locus of alpha*e1 + beta*e2 among the five conjugation classes."""
     if alpha == beta:
         return "real" if alpha.im == 0 else "plane_i"
@@ -152,7 +152,7 @@ class LocusFactors:
         return self.real * self.plane_i * self.plane_j * self.plane_k * self.generic
 
 
-def _split_roots(roots: tuple[GaussianRational, ...]):
+def _split_roots(roots: tuple[QuadRational, ...]):
     real = sorted((root.re for root in roots if root.im == 0))
     pairs = sorted(((root.re, root.im) for root in roots if root.im > 0))
     return real, pairs
@@ -189,12 +189,12 @@ def locus_factors(roots, lead: int = 1) -> LocusFactors:
                         plane_k=pair_f, generic=generic)
 
 
-def gaussian_root_set(polys) -> list[GaussianRational] | None:
+def gaussian_root_set(polys) -> list[QuadRational] | None:
     """Union of the Q(i)-roots of degree <= 2 integer polynomials.
 
     Returns None when some polynomial does not split over Q(i).
     """
-    out: list[GaussianRational] = []
+    out: list[QuadRational] = []
     seen = set()
     for p in polys:
         roots = low_degree_gaussian_roots(p)
@@ -218,7 +218,7 @@ def sqrt_rational(value: Fraction) -> Fraction | None:
     return None
 
 
-def low_degree_gaussian_roots(p: IntPoly) -> list[GaussianRational] | None:
+def low_degree_gaussian_roots(p: IntPoly) -> list[QuadRational] | None:
     """Roots of a degree 1 or 2 integer polynomial inside Q(i), else None."""
     if p.degree == 1:
         c0, c1 = p.coeffs

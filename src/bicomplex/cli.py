@@ -233,21 +233,23 @@ def parse_int_poly(text: str) -> IntPoly:
 
 # -- descriptor flags ---------------------------------------------------------
 
+# The named fields and extensions; each parser accepts the names of its own type.
+_NAMED = {"Q": Q_FIELD, "Qi": GAUSSIAN_FIELD, "Q(i)": GAUSSIAN_FIELD, "Qh": QH, "QB": QB}
+
+
 def parse_field(text: str) -> RationalField | QuadraticField:
-    if text == "Q":
-        return Q_FIELD
-    if text in ("Qi", "Q(i)"):
-        return GAUSSIAN_FIELD
+    named = _NAMED.get(text)
+    if isinstance(named, (RationalField, QuadraticField)):
+        return named
     if text.startswith("Q(sqrt:") and text.endswith(")"):
         return QuadraticField(int(text[len("Q(sqrt:"):-1]))
     raise ParseError(f"unknown field {text!r}; use Q, Qi or Q(sqrt:D)", 0)
 
 
 def parse_extension(text: str) -> ExtensionDescriptor:
-    if text == "Qh":
-        return QH
-    if text == "QB":
-        return QB
+    named = _NAMED.get(text)
+    if isinstance(named, ExtensionDescriptor):
+        return named
     if text.startswith("custom:"):
         parts = text[len("custom:"):].split(",")
         if len(parts) != 2:
@@ -258,14 +260,8 @@ def parse_extension(text: str) -> ExtensionDescriptor:
 
 def parse_table_key(text: str):
     """Field or extension names accepted by the counting commands."""
-    if text in ("Q",):
-        return Q_FIELD
-    if text in ("Qi", "Q(i)"):
-        return GAUSSIAN_FIELD
-    if text == "Qh":
-        return QH
-    if text == "QB":
-        return QB
+    if text in _NAMED:
+        return _NAMED[text]
     raise ParseError(f"unknown coefficient field {text!r}; use Q, Qi, Qh or QB", 0)
 
 
@@ -501,7 +497,7 @@ def _cmd_disc(args) -> int:
     try:
         assert value == discriminant_by_trace_matrix(L)
     except UnsupportedRingError:
-        pass  # no common scalar kind: the product formula still applies
+        pass  # two radicands, no element type: the product formula still applies
     _emit(args, [str(value)], {"discriminant": value})
     return 0
 

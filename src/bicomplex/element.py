@@ -18,21 +18,11 @@ from fractions import Fraction
 
 from .scalars import (
     GaussianRational,
+    MixedScalarError,
     QuadRational,
-    Rational,
     abs_sq,
     as_gaussian,
     format_scalar,
-    same_kind,
-    scalar_add,
-    scalar_conj,
-    scalar_div,
-    scalar_is_zero,
-    scalar_key,
-    scalar_mul,
-    scalar_neg,
-    scalar_sub,
-    widen_like,
 )
 
 CONJUGATION_AXES = ("i", "j", "k")
@@ -51,13 +41,14 @@ class BicomplexElement:
     c2: object
 
     def __post_init__(self):
-        if not same_kind(self.c1, self.c2):
-            raise TypeError(
-                f"idempotent components must share a scalar kind: {self.c1!r}, {self.c2!r}")
         if isinstance(self.c1, int):
             object.__setattr__(self, "c1", Fraction(self.c1))
         if isinstance(self.c2, int):
             object.__setattr__(self, "c2", Fraction(self.c2))
+        if (isinstance(self.c1, QuadRational) and isinstance(self.c2, QuadRational)
+                and self.c1.D != self.c2.D):
+            raise MixedScalarError(
+                f"idempotent components must share a radicand: {self.c1!r}, {self.c2!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -81,50 +72,43 @@ class BicomplexElement:
         Defined when both components lie in Q(i); quadratic components with
         a radicand other than -1 have no rational Cartesian view.
         """
-        g1, g2 = self._gaussian_components()
+        if not self.has_cartesian_view:
+            raise ValueError(f"{self!r} has no Cartesian view")
+        g1, g2 = as_gaussian(self.c1), as_gaussian(self.c2)
         two = Fraction(2)
         return ((g1.re + g2.re) / two, (g1.im + g2.im) / two,
                 (g1.re - g2.re) / two, (g1.im - g2.im) / two)
 
-    def _gaussian_components(self) -> tuple[GaussianRational, GaussianRational]:
-        try:
-            return as_gaussian(self.c1), as_gaussian(self.c2)
-        except ValueError:
-            raise ValueError(f"{self!r} has no Cartesian view") from None
-
     @property
     def has_cartesian_view(self) -> bool:
-        try:
-            self._gaussian_components()
-            return True
-        except ValueError:
-            return False
+        """Whether both components lie in Q(i)."""
+        return all(not isinstance(c, QuadRational) or c.D == -1 or not c.b
+                   for c in (self.c1, self.c2))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: BicomplexElement) -> BicomplexElement:
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return BicomplexElement(scalar_add(self.c1, other.c1), scalar_add(self.c2, other.c2))
+        return BicomplexElement(self.c1 + other.c1, self.c2 + other.c2)
 
     def __sub__(self, other: BicomplexElement) -> BicomplexElement:
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return BicomplexElement(scalar_sub(self.c1, other.c1), scalar_sub(self.c2, other.c2))
+        return BicomplexElement(self.c1 - other.c1, self.c2 - other.c2)
 
     def __neg__(self) -> BicomplexElement:
-        return BicomplexElement(scalar_neg(self.c1), scalar_neg(self.c2))
+        return BicomplexElement(-self.c1, -self.c2)
 
     def __mul__(self, other: BicomplexElement) -> BicomplexElement:
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return BicomplexElement(scalar_mul(self.c1, other.c1), scalar_mul(self.c2, other.c2))
+        return BicomplexElement(self.c1 * other.c1, self.c2 * other.c2)
 
     def __pow__(self, n: int) -> BicomplexElement:
         if n < 0:
             return self.invert() ** (-n)
-        result = BicomplexElement(_one_like(self.c1), _one_like(self.c2))
-        square = self
+        result, square = ONE, self
         while n:
             if n & 1:
                 result = result * square
@@ -133,29 +117,22 @@ class BicomplexElement:
         return result
 
     def scale(self, q) -> BicomplexElement:
-        """Multiply by a plain rational, widened into the component kind."""
-        return BicomplexElement(scalar_mul(widen_like(q, self.c1), self.c1),
-                                scalar_mul(widen_like(q, self.c2), self.c2))
-
-    def gaussianized(self) -> BicomplexElement:
-        """The same element with both components coerced into Q(i)."""
-        g1, g2 = self._gaussian_components()
-        return BicomplexElement(g1, g2)
+        """Multiply by a plain rational."""
+        return BicomplexElement(q * self.c1, q * self.c2)
 
     def invert(self) -> BicomplexElement:
         """Componentwise inverse; the null cone is exactly where it fails."""
         if self.in_null_cone:
             raise NullConeError(f"{self} has a zero idempotent component")
-        return BicomplexElement(scalar_div(_one_like(self.c1), self.c1),
-                                scalar_div(_one_like(self.c2), self.c2))
+        return BicomplexElement(1 / self.c1, 1 / self.c2)
 
     @property
     def is_zero(self) -> bool:
-        return scalar_is_zero(self.c1) and scalar_is_zero(self.c2)
+        return not (self.c1 or self.c2)
 
     @property
     def in_null_cone(self) -> bool:
-        return scalar_is_zero(self.c1) or scalar_is_zero(self.c2)
+        return not (self.c1 and self.c2)
 
     # -- conjugations and norm ----------------------------------------------
 
@@ -164,9 +141,9 @@ class BicomplexElement:
         if axis == "i":
             return BicomplexElement(self.c2, self.c1)
         if axis == "j":
-            return BicomplexElement(scalar_conj(self.c1), scalar_conj(self.c2))
+            return BicomplexElement(self.c1.conjugate(), self.c2.conjugate())
         if axis == "k":
-            return BicomplexElement(scalar_conj(self.c2), scalar_conj(self.c1))
+            return BicomplexElement(self.c2.conjugate(), self.c1.conjugate())
         raise ValueError(f"conjugation axis must be one of i, j, k, not {axis!r}")
 
     def norm(self):
@@ -177,19 +154,18 @@ class BicomplexElement:
         real quadratic components the exact (generally irrational) value is
         returned as a QuadRational.
         """
-        return abs_sq(scalar_mul(self.c1, self.c2))
+        return abs_sq(self.c1 * self.c2)
 
     def coordinate_recovery_check(self) -> bool:
         """Verify the four conjugation averages reproduce (x, y, z, t)."""
         x, y, z, t = self.to_cartesian()
-        el = self.gaussianized()
-        ci, cj, ck = (el.conjugate(u) for u in CONJUGATION_AXES)
+        ci, cj, ck = (self.conjugate(u) for u in CONJUGATION_AXES)
         quarter = Fraction(1, 4)
         checks = [
-            ((el + ci + cj + ck).scale(quarter), x),
-            ((el + ci - cj - ck).scale(quarter) * I_UNIT.invert(), y),
-            ((el - ci + cj - ck).scale(quarter) * J_UNIT.invert(), z),
-            ((el - ci - cj + ck).scale(quarter) * K_UNIT.invert(), t),
+            ((self + ci + cj + ck).scale(quarter), x),
+            ((self + ci - cj - ck).scale(quarter) * I_UNIT.invert(), y),
+            ((self - ci + cj - ck).scale(quarter) * J_UNIT.invert(), z),
+            ((self - ci - cj + ck).scale(quarter) * K_UNIT.invert(), t),
         ]
         return all(value == BicomplexElement.from_rational(coord) for value, coord in checks)
 
@@ -198,11 +174,10 @@ class BicomplexElement:
     def __eq__(self, other):
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return ((scalar_key(self.c1), scalar_key(self.c2))
-                == (scalar_key(other.c1), scalar_key(other.c2)))
+        return (self.c1, self.c2) == (other.c1, other.c2)
 
     def __hash__(self):
-        return hash((scalar_key(self.c1), scalar_key(self.c2)))
+        return hash((self.c1, self.c2))
 
     def __str__(self) -> str:
         if self.has_cartesian_view:
@@ -211,14 +186,6 @@ class BicomplexElement:
 
     def __repr__(self) -> str:
         return f"BicomplexElement({self.c1!r}, {self.c2!r})"
-
-
-def _one_like(scalar):
-    if isinstance(scalar, Rational):
-        return Fraction(1)
-    if isinstance(scalar, GaussianRational):
-        return GaussianRational(1, 0)
-    return QuadRational(scalar.D, 1, 0)
 
 
 def format_cartesian(coords) -> str:

@@ -14,15 +14,7 @@ from fractions import Fraction
 
 from .element import BicomplexElement
 from .polys import IntPoly, Poly, content_primitive, poly_gcd
-from .scalars import (
-    GaussianRational,
-    QuadRational,
-    Rational,
-    as_fraction,
-    scalar_add,
-    scalar_mul,
-    widen_like,
-)
+from .scalars import QuadRational, as_fraction
 
 
 @dataclass(frozen=True)
@@ -42,22 +34,12 @@ class MinPolyResult:
 def minpoly_component(scalar) -> IntPoly:
     """Minimal polynomial of a single component scalar.
 
-    Degree 1 for rationals; for a + b*u with b != 0 and u either i or
-    sqrt(D), the primitive integer form of X^2 - 2aX + (a^2 - u^2 b^2).
+    Degree 1 for rationals; for a + b*sqrt(D) with b != 0 (D = -1 for the
+    Gaussian rationals), the primitive integer form of X^2 - 2aX + (a^2 - D b^2).
     """
-    if isinstance(scalar, Rational):
-        return content_primitive(Poly.of(-Fraction(scalar), 1))[1]
-    if isinstance(scalar, GaussianRational):
-        if scalar.im == 0:
-            return minpoly_component(scalar.re)
-        a, usq_bsq = scalar.re, -scalar.im * scalar.im
-    elif isinstance(scalar, QuadRational):
-        if scalar.b == 0:
-            return minpoly_component(scalar.a)
-        a, usq_bsq = scalar.a, scalar.D * scalar.b * scalar.b
-    else:
-        raise TypeError(f"not a component scalar: {scalar!r}")
-    return content_primitive(Poly.of(a * a - usq_bsq, -2 * a, 1))[1]
+    if not isinstance(scalar, QuadRational) or not scalar.b:
+        return content_primitive(Poly.of(-as_fraction(scalar), 1))[1]
+    return content_primitive(Poly.of(scalar.field_norm(), -2 * scalar.a, 1))[1]
 
 
 def minpoly_bicomplex(element: BicomplexElement) -> MinPolyResult:
@@ -73,9 +55,9 @@ def minpoly_bicomplex(element: BicomplexElement) -> MinPolyResult:
 
 
 def _eval_scalar(poly: Poly, scalar):
-    acc = widen_like(0, scalar)
+    acc = Fraction(0)
     for c in reversed(poly.coeffs):
-        acc = scalar_add(scalar_mul(acc, scalar), widen_like(c, scalar))
+        acc = acc * scalar + c
     return acc
 
 
@@ -112,8 +94,9 @@ def quartic_charpoly(element: BicomplexElement) -> tuple[Poly, QuarticCoefficien
     element of the hyperbolic plane or of either complex plane, P is the
     square of the familiar quadratic X^2 - 2*Re*X + z*conj(z).
     """
-    el = element.gaussianized()
-    conjugates = [el] + [el.conjugate(axis) for axis in ("i", "j", "k")]
+    if not element.has_cartesian_view:
+        raise ValueError(f"{element!r} has no Cartesian view")
+    conjugates = [element] + [element.conjugate(axis) for axis in ("i", "j", "k")]
 
     def sym(k: int) -> Fraction:
         total = None

@@ -9,7 +9,7 @@ nondegenerate shapes pi*e1 + e2 and e1 + pi*e2 with pi prime in its
 component ring.
 
 Elements of an extension are representable as BicomplexElement values
-whenever the two component fields embed in one common scalar kind (always
+whenever at most one radicand occurs among the two component fields (always
 true when at most one component is a proper quadratic field, or when both
 are the same one).  Extensions pairing two different quadratic fields still
 support the purely numeric operations (discriminant, unit group order).
@@ -29,15 +29,7 @@ from .gaussian import (
     is_gaussian_prime,
 )
 from .numtheory import factorint, is_prime
-from .scalars import (
-    GaussianRational,
-    QuadRational,
-    Rational,
-    as_fraction,
-    as_gaussian,
-    is_squarefree_int,
-    widen_like,
-)
+from .scalars import QuadRational, as_fraction, as_gaussian, is_squarefree_int
 
 
 class UnsupportedRingError(ValueError):
@@ -108,22 +100,11 @@ def quad_parts(scalar, field: Field) -> tuple[Fraction, Fraction]:
     For the rational field b must vanish.  Raises ValueError when the value
     does not lie in the field.
     """
-    if isinstance(field, RationalField):
-        return as_fraction(scalar), Fraction(0)
-    D = field.D
-    if isinstance(scalar, Rational):
-        return Fraction(scalar), Fraction(0)
-    if isinstance(scalar, GaussianRational):
-        if scalar.im == 0:
-            return scalar.re, Fraction(0)
-        if D == -1:
-            return scalar.re, scalar.im
-    if isinstance(scalar, QuadRational):
-        if scalar.b == 0:
-            return scalar.a, Fraction(0)
-        if scalar.D == D:
-            return scalar.a, scalar.b
-    raise ValueError(f"{scalar!r} does not lie in {field}")
+    if isinstance(field, QuadraticField) and isinstance(scalar, QuadRational) and scalar.b:
+        if scalar.D != field.D:
+            raise ValueError(f"{scalar!r} does not lie in {field}")
+        return scalar.a, scalar.b
+    return as_fraction(scalar), Fraction(0)
 
 
 def scalar_in_field(scalar, field: Field) -> bool:
@@ -158,25 +139,10 @@ def scalar_is_ring_unit(scalar, field: Field) -> bool:
     return scalar_is_integral(scalar, field) and abs(scalar_field_norm(scalar, field)) == 1
 
 
-def _common_kind_sample(L: ExtensionDescriptor):
-    """A scalar of the widest kind both component fields embed into."""
-    quads = {K.D for K in (L.K1, L.K2) if isinstance(K, QuadraticField)}
-    if not quads:
-        return Fraction(0)
-    if len(quads) > 1:
-        raise UnsupportedRingError(
-            f"components of {L} do not embed in one scalar kind")
-    D = quads.pop()
-    return GaussianRational(0, 0) if D == -1 else QuadRational(D, 0, 0)
-
-
-def _field_scalar(a: Fraction, b: Fraction, field: Field, like):
-    """The value a + b*sqrt(D) of the field, widened to the common kind."""
-    if b == 0:
-        return widen_like(a, like)
-    if isinstance(like, GaussianRational):
-        return GaussianRational(a, b)
-    return QuadRational(like.D, a, b)
+def _has_element_type(L: ExtensionDescriptor) -> bool:
+    """Whether elements of L are BicomplexElement values: two different
+    quadratic component fields share no scalar type."""
+    return len({K.D for K in (L.K1, L.K2) if isinstance(K, QuadraticField)}) < 2
 
 
 # -- ring of integers --------------------------------------------------------
@@ -189,24 +155,22 @@ def is_integral(element: BicomplexElement, L: ExtensionDescriptor) -> bool:
             and scalar_is_integral(element.c2, L.K2))
 
 
-def _integral_basis_parts(field: Field) -> list[tuple[Fraction, Fraction]]:
+def _integral_basis_scalars(field: Field) -> list:
     if isinstance(field, RationalField):
-        return [(Fraction(1), Fraction(0))]
+        return [Fraction(1)]
     if field.D % 4 == 1:
-        return [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))]
-    return [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+        return [Fraction(1), QuadRational(field.D, Fraction(1, 2), Fraction(1, 2))]
+    return [Fraction(1), QuadRational(field.D, 0, 1)]
 
 
 def integral_basis(L: ExtensionDescriptor) -> list[BicomplexElement]:
     """A Z-basis of the ring of integers: e1 times a basis of O_K1 followed
     by e2 times a basis of O_K2.  Quadratic components use {1, sqrt(D)} or,
     when D = 1 (mod 4), {1, (1 + sqrt(D))/2}."""
-    like = _common_kind_sample(L)
-    zero = widen_like(0, like)
-    basis = [BicomplexElement(_field_scalar(a, b, L.K1, like), zero)
-             for a, b in _integral_basis_parts(L.K1)]
-    basis += [BicomplexElement(zero, _field_scalar(a, b, L.K2, like))
-              for a, b in _integral_basis_parts(L.K2)]
+    if not _has_element_type(L):
+        raise UnsupportedRingError(f"components of {L} have two different radicands")
+    basis = [BicomplexElement(b, 0) for b in _integral_basis_scalars(L.K1)]
+    basis += [BicomplexElement(0, b) for b in _integral_basis_scalars(L.K2)]
     return basis
 
 
@@ -311,18 +275,11 @@ def unit_group(L: ExtensionDescriptor) -> UnitGroupInfo:
     orders = (_component_unit_order(L.K1), _component_unit_order(L.K2))
     if None in orders:
         witness = None
-        try:
-            like = _common_kind_sample(L)
-            slots = []
-            for field in (L.K1, L.K2):
-                if isinstance(field, QuadraticField) and field.D > 0:
-                    x, y = pell_fundamental_unit(field.D)
-                    slots.append(_field_scalar(Fraction(x), Fraction(y), field, like))
-                else:
-                    slots.append(widen_like(1, like))
+        if _has_element_type(L):
+            slots = [QuadRational(K.D, *pell_fundamental_unit(K.D))
+                     if isinstance(K, QuadraticField) and K.D > 0 else 1
+                     for K in (L.K1, L.K2)]
             witness = BicomplexElement(*slots)
-        except UnsupportedRingError:
-            pass
         return UnitGroupInfo(False, None, "infinite",
                              "infinite (contains a unit of infinite order)", witness)
     rational_count = sum(isinstance(K, RationalField) for K in (L.K1, L.K2))
@@ -369,13 +326,7 @@ def canonical_associate(element: BicomplexElement, L: ExtensionDescriptor
         raise NullConeError("null-cone elements have no canonical associate")
     u1, n1 = _canonical_component(element.c1, L.K1)
     u2, n2 = _canonical_component(element.c2, L.K2)
-    like = _common_kind_sample(L)
-
-    def lift(s):
-        return widen_like(s, like) if isinstance(s, Rational) else s
-
-    return (BicomplexElement(lift(u1), lift(u2)),
-            BicomplexElement(lift(n1), lift(n2)))
+    return BicomplexElement(u1, u2), BicomplexElement(n1, n2)
 
 
 @dataclass(frozen=True)
@@ -451,14 +402,8 @@ def _factor_component(scalar, field: Field):
 
 def _prime_sort_key(entry):
     element, _, form = entry
-    scalar = element.c1 if form == "prime_e1" else element.c2
-    if isinstance(scalar, GaussianRational):
-        norm = scalar.norm_sq()
-        re, im = scalar.re, scalar.im
-    else:
-        norm = Fraction(scalar) * Fraction(scalar)
-        re, im = Fraction(scalar), Fraction(0)
-    return (0 if form == "prime_e1" else 1, norm, re, im)
+    g = as_gaussian(element.c1 if form == "prime_e1" else element.c2)
+    return (0 if form == "prime_e1" else 1, g.norm_sq(), g.re, g.im)
 
 
 def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactorization:
@@ -477,19 +422,13 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     if is_unit(element, L):
         raise UnitInputError(f"{element} is a unit of {L}")
 
-    like = _common_kind_sample(L)
-    one = widen_like(1, like)
-
-    def lift(s):
-        return widen_like(s, like) if isinstance(s, Rational) else s
-
     unit1, pairs1 = _factor_component(element.c1, L.K1)
     unit2, pairs2 = _factor_component(element.c2, L.K2)
-    entries = [(BicomplexElement(lift(p), one), e, "prime_e1") for p, e in pairs1]
-    entries += [(BicomplexElement(one, lift(p)), e, "prime_e2") for p, e in pairs2]
+    entries = [(BicomplexElement(p, 1), e, "prime_e1") for p, e in pairs1]
+    entries += [(BicomplexElement(1, p), e, "prime_e2") for p, e in pairs2]
     entries.sort(key=_prime_sort_key)
     return BicomplexFactorization(
-        unit=BicomplexElement(lift(unit1), lift(unit2)),
+        unit=BicomplexElement(unit1, unit2),
         factors=tuple((el, e) for el, e, _ in entries),
     )
 
@@ -510,8 +449,6 @@ def rational_prime_profile(p: int, L: ExtensionDescriptor) -> PrimeProfile:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    like = _common_kind_sample(L)
-    element = BicomplexElement(widen_like(p, like), widen_like(p, like))
-    decomposition = factor(element, L)
+    decomposition = factor(BicomplexElement(p, p), L)
     count = sum(e for _, e in decomposition.factors)
     return PrimeProfile(count, count == 2, decomposition)

@@ -1,26 +1,26 @@
 """Component scalars for bicomplex elements.
 
-An idempotent component is one of three kinds: a plain rational
-(``fractions.Fraction`` or ``int``), a Gaussian rational ``re + im*i``, or a
-quadratic rational ``a + b*sqrt(D)`` for a squarefree ``D`` (negative ``D``
-encodes the imaginary quadratic field).  Arithmetic never coerces across
-kinds; mixing raises :class:`MixedScalarError`.  The one sanctioned widening,
-rational into a richer kind, is explicit via :func:`widen_like`.
+An idempotent component is a plain rational (``fractions.Fraction`` or
+``int``) or a quadratic rational ``a + b*sqrt(D)`` for a squarefree ``D``
+(negative ``D`` encodes the imaginary quadratic field).  Gaussian rationals
+``re + im*i`` are the case ``D = -1``, built by :func:`GaussianRational`.
+Rationals combine with a quadratic rational of any radicand; combining two
+quadratic rationals with different radicands raises
+:class:`MixedScalarError`.
 
-Equality is by numeric value: a Gaussian rational with zero imaginary part
-equals the plain rational, and ``QuadRational(-1, a, b)`` equals
-``GaussianRational(a, b)``.
+Equality and hashing are by numeric value: a quadratic rational with
+``b == 0`` equals, and hashes as, the plain rational ``a``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 Rational = (int, Fraction)
 
 
 class MixedScalarError(TypeError):
-    """Arithmetic between scalars of different kinds (or different D)."""
+    """Arithmetic between quadratic rationals with different radicands."""
 
 
 def is_squarefree_int(d: int) -> bool:
@@ -33,66 +33,86 @@ def is_squarefree_int(d: int) -> bool:
     return True
 
 
-def scalar_key(x):
-    """Canonical value key shared by all scalar kinds (used by eq/hash)."""
-    if isinstance(x, Rational):
-        return ("rat", Fraction(x))
-    if isinstance(x, GaussianRational):
-        if x.im == 0:
-            return ("rat", x.re)
-        return ("gauss", x.re, x.im)
-    if isinstance(x, QuadRational):
-        if x.b == 0:
-            return ("rat", x.a)
-        if x.D == -1:
-            return ("gauss", x.a, x.b)
-        return ("quad", x.D, x.a, x.b)
-    return NotImplemented
+class QuadRational:
+    """a + b*sqrt(D) for squarefree D not in {0, 1}.
 
+    Negative D means sqrt(D) = i*sqrt(|D|), so the value is imaginary
+    quadratic; positive D gives a real quadratic value.  Instances are
+    immutable; ``re`` and ``im`` name ``a`` and ``b``.
+    """
 
-@dataclass(frozen=True, eq=False)
-class GaussianRational:
-    """re + im*i with exact rational parts."""
+    __slots__ = ("_D", "_a", "_b")
 
-    re: Fraction
-    im: Fraction
+    def __init__(self, D: int, a, b=0):
+        if D in (0, 1) or not is_squarefree_int(D):
+            raise ValueError(f"radicand must be squarefree and not 0 or 1, got {D}")
+        self._D, self._a, self._b = int(D), Fraction(a), Fraction(b)
 
-    def __init__(self, re, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    D = property(attrgetter("_D"))
+    a = re = property(attrgetter("_a"))
+    b = im = property(attrgetter("_b"))
+
+    def _common_radicand(self, other: QuadRational) -> int:
+        """The common radicand; raises on two different ones."""
+        if other._D != self._D:
+            raise MixedScalarError(f"mixed radicands sqrt({self._D}) and sqrt({other._D})")
+        return self._D
 
     def __add__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, QuadRational):
+            return _quad(self._common_radicand(other), self._a + other._a, self._b + other._b)
+        if isinstance(other, Rational):
+            return _quad(self._D, self._a + other, self._b)
+        return NotImplemented
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, GaussianRational):
+        if isinstance(other, QuadRational):
+            return _quad(self._common_radicand(other), self._a - other._a, self._b - other._b)
+        if isinstance(other, Rational):
+            return _quad(self._D, self._a - other, self._b)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if not isinstance(other, Rational):
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _quad(self._D, other - self._a, -self._b)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _quad(self._D, -self._a, -self._b)
 
     def __mul__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
+        if isinstance(other, QuadRational):
+            a, b, c, d = self._a, self._b, other._a, other._b
+            D, bd = self._common_radicand(other), b * d
+            # D = -1 is the Gaussian case; subtracting skips a Fraction product
+            return _quad(D, a * c - bd if D == -1 else a * c + D * bd, a * d + b * c)
+        if isinstance(other, Rational):
+            return _quad(self._D, self._a * other, self._b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        n = other.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / n, num.im / n)
+        if isinstance(other, QuadRational):
+            return self * (1 / other)
+        if isinstance(other, Rational):
+            return _quad(self._D, self._a / other, self._b / other)
+        return NotImplemented
 
-    def __pow__(self, n: int) -> GaussianRational:
+    def __rtruediv__(self, other):
+        if not isinstance(other, Rational):
+            return NotImplemented
+        n = self.field_norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero quadratic rational")
+        return _quad(self._D, other * self._a / n, -other * self._b / n)
+
+    def __pow__(self, n: int) -> QuadRational:
         if n < 0:
-            return GaussianRational(1, 0) / self ** (-n)
-        result, square = GaussianRational(1, 0), self
+            return 1 / self ** (-n)
+        result, square = _quad(self._D, Fraction(1), Fraction(0)), self
         while n:
             if n & 1:
                 result = result * square
@@ -100,229 +120,80 @@ class GaussianRational:
             n >>= 1
         return result
 
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        """|re + im*i|^2, always rational."""
-        return self.re * self.re + self.im * self.im
+    def __bool__(self) -> bool:
+        return bool(self._a or self._b)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __eq__(self, other):
-        k = scalar_key(other)
-        return scalar_key(self) == k if k is not NotImplemented else NotImplemented
-
-    def __hash__(self):
-        return hash(scalar_key(self))
-
-    def __str__(self):
-        return format_scalar(self)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class QuadRational:
-    """a + b*sqrt(D) for squarefree D not in {0, 1}.
-
-    Negative D means sqrt(D) = i*sqrt(|D|), so the value is imaginary
-    quadratic; positive D gives a real quadratic value.
-    """
-
-    D: int
-    a: Fraction
-    b: Fraction
-
-    def __init__(self, D: int, a, b=0):
-        if D in (0, 1) or not is_squarefree_int(D):
-            raise ValueError(f"radicand must be squarefree and not 0 or 1, got {D}")
-        object.__setattr__(self, "D", int(D))
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-
-    def _check(self, other):
-        if not isinstance(other, QuadRational):
-            return False
-        if other.D != self.D:
-            raise MixedScalarError(f"mixed radicands sqrt({self.D}) and sqrt({other.D})")
-        return True
-
-    def __add__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return QuadRational(self.D, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return QuadRational(self.D, self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return QuadRational(self.D, -self.a, -self.b)
-
-    def __mul__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return QuadRational(self.D,
-                            self.a * other.a + self.D * self.b * other.b,
-                            self.a * other.b + self.b * other.a)
-
-    def __truediv__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        n = other.a * other.a - self.D * other.b * other.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero quadratic rational")
-        num = self * QuadRational(self.D, other.a, -other.b)
-        return QuadRational(self.D, num.a / n, num.b / n)
+        return not self
 
     def conjugate(self) -> QuadRational:
         """Complex conjugation: negates b for D < 0, identity for D > 0."""
-        if self.D < 0:
-            return QuadRational(self.D, self.a, -self.b)
-        return self
+        return self.field_conjugate() if self._D < 0 else self
 
     def field_conjugate(self) -> QuadRational:
         """The field automorphism sqrt(D) -> -sqrt(D), for either sign of D."""
-        return QuadRational(self.D, self.a, -self.b)
+        return _quad(self._D, self._a, -self._b)
 
     def field_norm(self) -> Fraction:
         """a^2 - D*b^2, the norm down to the rationals."""
-        return self.a * self.a - self.D * self.b * self.b
+        return self._a * self._a - self._D * (self._b * self._b)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+    def norm_sq(self):
+        """|x|^2: the rational a^2 - D*b^2 when D < 0.  For D > 0 it is x^2,
+        returned as a Fraction when rational and as a QuadRational otherwise."""
+        if self._D < 0:
+            return self.field_norm()
+        sq = self * self
+        return sq if sq._b else sq._a
 
     def __eq__(self, other):
-        k = scalar_key(other)
-        return scalar_key(self) == k if k is not NotImplemented else NotImplemented
+        if isinstance(other, QuadRational):
+            return (self._a == other._a and self._b == other._b
+                    and (self._D == other._D or not self._b))
+        if isinstance(other, Rational):
+            return not self._b and self._a == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash(scalar_key(self))
+        return hash((self._D, self._a, self._b)) if self._b else hash(self._a)
 
     def __str__(self):
         return format_scalar(self)
 
     def __repr__(self):
-        return f"QuadRational({self.D}, {self.a!r}, {self.b!r})"
+        if self._D == -1:
+            return f"GaussianRational({self._a!r}, {self._b!r})"
+        return f"QuadRational({self._D}, {self._a!r}, {self._b!r})"
 
 
-def scalar_kind(x) -> tuple:
-    """The arithmetic compatibility tag: kind name plus radicand if any."""
-    if isinstance(x, Rational):
-        return ("rational",)
-    if isinstance(x, GaussianRational):
-        return ("gaussian",)
-    if isinstance(x, QuadRational):
-        return ("quad", x.D)
-    raise TypeError(f"not a component scalar: {x!r}")
+def _quad(D: int, a: Fraction, b: Fraction) -> QuadRational:
+    """Result constructor: the radicand is known valid, a and b are Fractions."""
+    q = object.__new__(QuadRational)
+    q._D, q._a, q._b = D, a, b
+    return q
 
 
-def same_kind(x, y) -> bool:
-    return scalar_kind(x) == scalar_kind(y)
-
-
-def widen_like(value, like):
-    """Embed a plain rational into the scalar kind of ``like``."""
-    if not isinstance(value, Rational):
-        raise TypeError("only rationals can be widened")
-    if isinstance(like, Rational):
-        return Fraction(value)
-    if isinstance(like, GaussianRational):
-        return GaussianRational(value, 0)
-    if isinstance(like, QuadRational):
-        return QuadRational(like.D, value, 0)
-    raise TypeError(f"not a component scalar: {like!r}")
-
-
-def scalar_add(x, y):
-    if not same_kind(x, y):
-        raise MixedScalarError(f"cannot add {x!r} and {y!r}")
-    if isinstance(x, Rational):
-        return Fraction(x) + Fraction(y)
-    return x + y
-
-
-def scalar_sub(x, y):
-    if not same_kind(x, y):
-        raise MixedScalarError(f"cannot subtract {x!r} and {y!r}")
-    if isinstance(x, Rational):
-        return Fraction(x) - Fraction(y)
-    return x - y
-
-
-def scalar_mul(x, y):
-    if not same_kind(x, y):
-        raise MixedScalarError(f"cannot multiply {x!r} and {y!r}")
-    if isinstance(x, Rational):
-        return Fraction(x) * Fraction(y)
-    return x * y
-
-
-def scalar_div(x, y):
-    if not same_kind(x, y):
-        raise MixedScalarError(f"cannot divide {x!r} and {y!r}")
-    if isinstance(x, Rational):
-        if y == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(x) / Fraction(y)
-    return x / y
-
-
-def scalar_neg(x):
-    if isinstance(x, Rational):
-        return -Fraction(x)
-    return -x
-
-
-def scalar_conj(x):
-    """Complex conjugation on any scalar kind (identity on rationals)."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return x.conjugate()
-
-
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, Rational):
-        return x == 0
-    return x.is_zero
+def GaussianRational(re, im=0) -> QuadRational:
+    """re + im*i with exact rational parts: the quadratic rational at D = -1."""
+    return _quad(-1, Fraction(re), Fraction(im))
 
 
 def as_fraction(x) -> Fraction:
     """The value as a plain rational; raises if it is not rational."""
     if isinstance(x, Rational):
         return Fraction(x)
-    if isinstance(x, GaussianRational) and x.im == 0:
-        return x.re
-    if isinstance(x, QuadRational) and x.b == 0:
-        return x.a
+    if isinstance(x, QuadRational) and not x._b:
+        return x._a
     raise ValueError(f"{x!r} is not a rational value")
 
 
-def is_rational_value(x) -> bool:
-    try:
-        as_fraction(x)
-        return True
-    except ValueError:
-        return False
-
-
-def as_gaussian(x) -> GaussianRational:
+def as_gaussian(x) -> QuadRational:
     """The value as a Gaussian rational; raises if it does not lie in Q(i)."""
+    if isinstance(x, QuadRational) and (x._D == -1 or not x._b):
+        return x if x._D == -1 else GaussianRational(x._a)
     if isinstance(x, Rational):
-        return GaussianRational(x, 0)
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, QuadRational):
-        if x.b == 0:
-            return GaussianRational(x.a, 0)
-        if x.D == -1:
-            return GaussianRational(x.a, x.b)
+        return GaussianRational(x)
     raise ValueError(f"{x!r} does not lie in Q(i)")
 
 
@@ -330,24 +201,14 @@ def abs_sq(x):
     """|x|^2.  Rational for rational, Gaussian and imaginary quadratic
     scalars; for real quadratic scalars the exact value x^2 is returned as a
     QuadRational since it is generally irrational."""
-    if isinstance(x, Rational):
-        return Fraction(x) * Fraction(x)
-    if isinstance(x, GaussianRational):
-        return x.norm_sq()
-    if x.D < 0:
-        return x.a * x.a - x.D * x.b * x.b
-    sq = x * x
-    return sq.a if sq.b == 0 else sq
+    return Fraction(x * x) if isinstance(x, Rational) else x.norm_sq()
 
 
 def format_scalar(x) -> str:
     """Literal form: 'a', 'a+b*i' or 'a+b*sqrt(D)' with exact fractions."""
     if isinstance(x, Rational):
         return str(Fraction(x))
-    if isinstance(x, GaussianRational):
-        re, im, unit = x.re, x.im, "i"
-    else:
-        re, im, unit = x.a, x.b, f"sqrt({x.D})"
+    re, im, unit = x.a, x.b, "i" if x.D == -1 else f"sqrt({x.D})"
     if im == 0:
         return str(re)
     if im > 0:
