@@ -17,6 +17,7 @@ oracle only.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,9 +71,11 @@ def census(p: IntPoly) -> Census:
     """Census of a squarefree integer polynomial, via the Sturm real count."""
     if p.degree < 1:
         raise ValueError("census needs degree >= 1")
-    if not is_squarefree(p):
-        raise ValueError("census is defined for squarefree polynomials only")
-    return census_from_counts(p.degree, sturm_real_root_count(p))
+    try:
+        real = sturm_real_root_count(p)
+    except ValueError:  # the degree is checked above, so p is not squarefree
+        raise ValueError("census is defined for squarefree polynomials only") from None
+    return census_from_counts(p.degree, real)
 
 
 def census_cyclotomic(n: int) -> Census:
@@ -246,7 +249,7 @@ def numeric_roots(p: IntPoly, tol: float = 1e-10, max_iter: int = 500) -> list[c
     A floating cross-check oracle only; exact computations never consume its
     output.  Starts from perturbed points near the unit circle and stops when
     the largest update drops below tol, raising RootConvergenceError at the
-    iteration cap.
+    iteration cap or as soon as an iterate overflows to inf or NaN.
     """
     if not is_squarefree(p):
         raise ValueError("numeric_roots expects a squarefree polynomial")
@@ -261,7 +264,7 @@ def numeric_roots(p: IntPoly, tol: float = 1e-10, max_iter: int = 500) -> list[c
         return acc
 
     guesses = [complex(0.4, 0.9) ** k for k in range(1, n + 1)]
-    for _ in range(max_iter):
+    for iteration in range(max_iter):
         biggest = 0.0
         updated = []
         for i, z in enumerate(guesses):
@@ -270,8 +273,11 @@ def numeric_roots(p: IntPoly, tol: float = 1e-10, max_iter: int = 500) -> list[c
                 if i != j:
                     denom *= (z - w)
             step = value(z) / denom
+            moved = z - step
+            if not cmath.isfinite(moved):
+                raise RootConvergenceError(f"non-finite iterate at iteration {iteration + 1}")
             biggest = max(biggest, abs(step))
-            updated.append(z - step)
+            updated.append(moved)
         guesses = updated
         if biggest < tol:
             _certify_roots(guesses, value, tol)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement
-from .polys import IntPoly, Poly, content_primitive, poly_gcd
+from .polys import IntPoly, Poly, content_primitive
 from .scalars import QuadRational, as_fraction
 
 
@@ -48,10 +48,7 @@ def minpoly_bicomplex(element: BicomplexElement) -> MinPolyResult:
     p2 = minpoly_component(element.c2)
     if p1 == p2:
         return MinPolyResult(p1, "common", (p1, p2))
-    g = poly_gcd(p1.to_poly(), p2.to_poly())
-    lcm, rem = divmod(p1.to_poly() * p2.to_poly(), g)
-    assert rem.is_zero
-    return MinPolyResult(content_primitive(lcm)[1], "product", (p1, p2))
+    return MinPolyResult(p1 * p2, "product", (p1, p2))
 
 
 def _eval_scalar(poly: Poly, scalar):

@@ -8,14 +8,20 @@ this package (primitive, positive leading coefficient).
 
 The zero polynomial is the empty tuple; its degree is undefined and the
 operations that need a degree reject it.
+
+The gcd, the Sturm chain and the cyclotomic polynomials work on integer
+coefficient tuples with one sign-preserving pseudo-remainder kernel.  The
+last entry of the Sturm chain is gcd(p, p'), so one chain both counts the
+real roots of p and decides whether p is squarefree.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .numtheory import factorint
 
 
 def _trim(coeffs):
@@ -47,11 +53,6 @@ class Poly:
     @staticmethod
     def one() -> Poly:
         return Poly.of(1)
-
-    @staticmethod
-    def x_power(k: int, coeff=1) -> Poly:
-        """The monomial coeff * X^k."""
-        return Poly.of(*([0] * k + [coeff]))
 
     @property
     def is_zero(self) -> bool:
@@ -111,16 +112,10 @@ class Poly:
         """Exact quotient and remainder with deg(remainder) < deg(other)."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        inv_lead = 1 / other.lead
-        while len(rem) - 1 >= d and _trim(rem):
-            rem = list(_trim(rem))
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            c = rem[-1] * inv_lead
+        rem, d, inv_lead = list(self.coeffs), other.degree, 1 / other.lead
+        quot = [Fraction(0)] * max(len(rem) - d, 1)
+        for k in range(len(rem) - 1 - d, -1, -1):
+            c = rem[k + d] * inv_lead
             quot[k] = c
             for j, b in enumerate(other.coeffs):
                 rem[k + j] -= c * b
@@ -132,9 +127,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> Poly:
-        return Poly(_trim([i * c for i, c in enumerate(self.coeffs)][1:]))
 
     def monic(self) -> Poly:
         if self.is_zero:
@@ -184,16 +176,17 @@ class IntPoly:
     def to_poly(self) -> Poly:
         return Poly(tuple(Fraction(c) for c in self.coeffs))
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    __call__ = Poly.__call__
 
     def __mul__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return content_primitive(self.to_poly() * other.to_poly())[1]
+        # Gauss's lemma: a product of primitive polynomials is primitive.
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntPoly(tuple(out))
 
     def __str__(self) -> str:
         return format_poly(self.to_poly())
@@ -214,9 +207,7 @@ def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no content decomposition")
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * denom_lcm) for c in p.coeffs]
     g = math.gcd(*ints)
     if ints[-1] < 0:
@@ -224,66 +215,67 @@ def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
     return Fraction(g, denom_lcm), IntPoly(tuple(c // g for c in ints))
 
 
+def _primitive(a) -> tuple[int, ...]:
+    """Divide integer coefficients by their positive content."""
+    g = math.gcd(*a)
+    return tuple(c // g for c in a)
+
+
+def _pseudo_rem(a, b) -> list[int]:
+    """A positive multiple of the remainder of a by b: each elimination step
+    scales by |lead(b)| only (Brown & Traub, J. ACM 1971)."""
+    rem, n, lead, scale = list(a), len(b) - 1, b[-1], abs(b[-1])
+    while len(rem) > n:
+        k = len(rem) - 1 - n
+        top = rem.pop() if lead > 0 else -rem.pop()
+        rem = [scale * c for c in rem[:k]] + [scale * c - top * d for c, d in zip(rem[k:], b)]
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _remainder_sequence(a, b) -> list[tuple[int, ...]]:
+    """a, b and the primitive parts of minus each remainder, up to a constant
+    or a zero remainder; the last entry is gcd(a, b) up to a nonzero factor."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        rem = _pseudo_rem(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append(_primitive([-c for c in rem]))
+    return seq
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclid with primitive reduction)."""
+    """Monic gcd over the rationals (integer remainder sequence)."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        if not r.is_zero:
-            # Re-scale to the integer primitive part to keep coefficients small.
-            r = content_primitive(r)[1].to_poly()
-        a, b = b, r
-    return a.monic()
+    if p.is_zero or q.is_zero:
+        return (p + q).monic()  # gcd(p, 0) is p made monic
+    g = _remainder_sequence(content_primitive(p)[1].coeffs, content_primitive(q)[1].coeffs)[-1]
+    return Poly.of(*g).monic()
+
+
+def sturm_chain(p: IntPoly) -> list[tuple[int, ...]]:
+    """The Sturm chain of p as primitive integer coefficient tuples.
+
+    Each entry is a positive multiple of the classical Sturm polynomial, so it
+    has the same signs; the last entry is gcd(p, p') up to a nonzero factor.
+    """
+    if p.degree < 1:
+        raise ValueError("a Sturm chain needs degree >= 1")
+    return _remainder_sequence(p.coeffs, _primitive([i * c for i, c in enumerate(p.coeffs)][1:]))
 
 
 def is_squarefree(p: IntPoly) -> bool:
     """True when gcd(p, p') is constant, i.e. p has no repeated complex root."""
     if p.degree < 1:
         raise ValueError("squarefreeness is only defined for degree >= 1")
-    return poly_gcd(p.to_poly(), p.to_poly().derivative()).degree == 0
+    return len(sturm_chain(p)[-1]) == 1
 
 
-def _sign_at_plus_inf(p: Poly) -> int:
-    return 1 if p.lead > 0 else -1
-
-
-def _sign_at_minus_inf(p: Poly) -> int:
-    s = _sign_at_plus_inf(p)
-    return s if p.degree % 2 == 0 else -s
-
-
-def _sign_variations(signs) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def sturm_chain(p: IntPoly) -> list[Poly]:
-    """The Sturm chain of p, each entry reduced to its integer primitive part.
-
-    Primitive reduction uses a positive scale only, so the sign data the
-    chain carries is unchanged while coefficient growth stays controlled.
-    """
-    chain = [p.to_poly()]
-    deriv = p.to_poly().derivative()
-    if not deriv.is_zero:
-        chain.append(content_primitive(deriv)[1].to_poly())
-    while chain[-1].degree > 0:
-        _, rem = divmod(chain[-2], chain[-1])
-        if rem.is_zero:
-            break
-        scale, prim = content_primitive(-rem)
-        prim_poly = prim.to_poly()
-        chain.append(prim_poly if scale > 0 else -prim_poly)
-    return chain
+def _sign_variations(values) -> int:
+    return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
 
 
 def sturm_real_root_count(p: IntPoly) -> int:
@@ -297,34 +289,39 @@ def sturm_real_root_count(p: IntPoly) -> int:
     """
     if p.degree < 1:
         raise ValueError("root counting needs degree >= 1")
-    if not is_squarefree(p):
-        raise ValueError("Sturm count requires a squarefree polynomial")
     chain = sturm_chain(p)
-    lo = _sign_variations([_sign_at_minus_inf(q) for q in chain])
-    hi = _sign_variations([_sign_at_plus_inf(q) for q in chain])
-    return lo - hi
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    # X^n - 1 divided by the cyclotomic polynomials of all proper divisors.
-    poly = Poly.of(*([-1] + [0] * (n - 1) + [1]))
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = divmod(poly, Poly(tuple(Fraction(c) for c in _cyclotomic_coeffs(d))))
-            assert rem.is_zero
-    return tuple(int(c) for c in poly.coeffs)
+    if len(chain[-1]) > 1:
+        raise ValueError("Sturm count requires a squarefree polynomial")
+    at_minus_inf = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
+    return _sign_variations(at_minus_inf) - _sign_variations([q[-1] for q in chain])
 
 
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial.
+
+    For n >= 2, Phi_n is the power series of the product of (1 - X^d)^mu(n/d)
+    over the divisors d of n, cut at degree phi(n); each factor is one pass.
 
     >>> cyclotomic(12)
     IntPoly('X^4 - X^2 + 1')
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    return IntPoly(_cyclotomic_coeffs(n))
+    if n == 1:
+        return IntPoly((-1, 1))
+    primes = list(factorint(n))
+    top = n // math.prod(primes) * math.prod(p - 1 for p in primes)  # phi(n)
+    c = [1] + [0] * top
+    for size in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, size):
+            d = n // math.prod(subset)
+            if size % 2:  # divide by 1 - X^d
+                for i in range(d, top + 1):
+                    c[i] += c[i - d]
+            else:  # multiply by 1 - X^d
+                for i in range(top, d - 1, -1):
+                    c[i] -= c[i - d]
+    return IntPoly(tuple(c))
 
 
 def format_poly(p: Poly, var: str = "X") -> str:

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from bicomplex.census import (
     Census,
+    RootConvergenceError,
     census,
     census_cyclotomic,
     classify_pair,
@@ -40,6 +42,8 @@ def test_census_quadratics():
 def test_census_rejects_bad_input():
     with pytest.raises(ValueError):
         census(IntPoly.of(1, -2, 1))
+    with pytest.raises(ValueError, match="census is defined for squarefree polynomials only"):
+        census(IntPoly.of(-1, 1) * IntPoly.of(-1, 1) * IntPoly.of(1, 0, 1))
     with pytest.raises(ValueError):
         census(IntPoly.of(7))
 
@@ -240,6 +244,17 @@ def test_numeric_roots_examples():
             hi = mid
     roots = numeric_roots(IntPoly.of(-2, 0, 1))
     assert sorted(round(z.real, 8) for z in roots) == [-round(lo, 8), round(lo, 8)]
+
+
+def test_numeric_roots_never_returns_non_finite_values():
+    """X^n - 2 overflows the iteration for large n; that must raise, not
+    return NaN roots as if they had converged."""
+    for n in (20, 40):
+        roots = numeric_roots(IntPoly.of(-2, *[0] * (n - 1), 1))
+        assert len(roots) == n and all(cmath.isfinite(z) for z in roots)
+    for n in (60, 120):
+        with pytest.raises(RootConvergenceError):
+            numeric_roots(IntPoly.of(-2, *[0] * (n - 1), 1))
 
 
 def test_numeric_real_count_matches_sturm():

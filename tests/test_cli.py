@@ -213,6 +213,8 @@ def test_cli_exit_codes(capsys):
     assert code == 2 and "zero norm" in err
     code, _, err = run(capsys, "radix-encode", "3", "--base", "jgauss:-2")
     assert code == 2 and "cycle" in err
+    code, out, err = run(capsys, "roots", "--poly", "X^120 - 2")
+    assert (code, out) == (2, "") and "non-finite iterate" in err
     code, _, err = run(capsys, "minpoly", "1+!")
     assert code == 1
     code, _, err = run(capsys, "no-such-command")

@@ -211,3 +211,71 @@ def test_int_poly_invariants():
         IntPoly.of(1, -1)  # negative lead
     with pytest.raises(ValueError):
         IntPoly.of()  # zero polynomial
+
+
+# -- sympy as an independent oracle ---------------------------------------------
+
+def _sympy_poly(coeffs):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("X"))
+
+
+def _oracle_product(rng, degree, bits):
+    """A squarefree primitive product of distinct linear factors and
+    irreducible quadratics whose factor coefficients have about ``bits``
+    bits, so that the product's coefficients have 100 bits or more."""
+    def size():
+        return rng.randint(1 << (bits - 1), 1 << bits)
+
+    factors = set()
+    while (left := degree - sum(len(f) - 1 for f in factors)) > 0:
+        if left == 1 or rng.random() < 0.5:
+            num, den = rng.choice((1, -1)) * size(), size()
+            g = math.gcd(num, den)
+            factors.add((-num // g, den // g))
+        else:
+            c, b, a = size(), rng.randint(-(1 << bits), 1 << bits), size()
+            if b * b < 4 * a * c and math.gcd(a, b, c) == 1:
+                factors.add((c, b, a))
+    product = IntPoly.of(1)
+    for f in sorted(factors):
+        product = product * IntPoly.of(*f)
+    return product, sorted(factors)
+
+
+def test_sturm_count_matches_sympy_on_large_products():
+    rng = random.Random(2004)
+    for degree, bits in ((8, 24), (12, 16), (16, 12), (24, 8), (32, 6), (48, 4), (64, 3)):
+        p, factors = _oracle_product(rng, degree, bits)
+        assert p.degree == degree
+        assert max(abs(c) for c in p.coeffs).bit_length() >= 100
+        sp = _sympy_poly(p.coeffs)
+        # sympy's Sturm-based count_roots takes seconds from degree 32 on, so
+        # the larger cases use its continued-fraction root isolation instead.
+        expected = sp.count_roots() if degree <= 16 else len(sp.intervals())
+        assert is_squarefree(p)
+        assert sturm_real_root_count(p) == expected
+        repeated = p * IntPoly.of(*factors[rng.randrange(len(factors))])
+        assert not is_squarefree(repeated)
+        with pytest.raises(ValueError):
+            sturm_real_root_count(repeated)
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in [*range(1, 601), 1155, 2310]:
+        expected = sympy.cyclotomic_poly(n, sympy.Symbol("X"), polys=True).all_coeffs()
+        assert cyclotomic(n).coeffs == tuple(int(c) for c in reversed(expected))
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2005)
+    for _ in range(40):
+        common = Poly.of(*[rng.randrange(-2**40, 2**40) for _ in range(rng.randrange(1, 4))],
+                         rng.randrange(1, 2**40))
+        a = common * Poly.of(*[Fraction(rng.randrange(-99, 100), rng.randrange(1, 9))
+                               for _ in range(rng.randrange(1, 7))], 1)
+        b = common * Poly.of(*[rng.randrange(-2**30, 2**30) for _ in range(rng.randrange(1, 7))], 3)
+        g = sympy.gcd(_sympy_poly(a.coeffs), _sympy_poly(b.coeffs)).monic()
+        assert poly_gcd(a, b) == Poly.of(*reversed(g.all_coeffs()))
