@@ -4,9 +4,12 @@ The component fields are the rationals or quadratic fields Q(sqrt(D)); the
 ring of integers, its discriminant and its unit group all decompose
 componentwise.  Unique factorization into prime elements is implemented for
 the two principal component rings exercised here, the plain integers and
-the Gaussian integers; prime elements are, up to units, e1, e2 and the two
-nondegenerate shapes pi*e1 + e2 and e1 + pi*e2 with pi prime in its
-component ring.
+the Gaussian integers.  :func:`component_ring` is the one map from a field
+to its component ring's operations (canonical associate, primality,
+factorization); associates, prime elements, factorization and the ideals of
+:mod:`bicomplex.zeta` all go through it.  Prime elements are, up to units,
+e1, e2 and the two nondegenerate shapes pi*e1 + e2 and e1 + pi*e2 with pi
+prime in its component ring.
 
 Elements of an extension are representable as BicomplexElement values
 whenever at most one radicand occurs among the two component fields (always
@@ -17,17 +20,12 @@ support the purely numeric operations (discriminant, unit group order).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement, NullConeError
-from .gaussian import (
-    canonical_gaussian_associate,
-    factor_gaussian,
-    gaussian_norm,
-    is_gaussian_integer,
-    is_gaussian_prime,
-)
+from .gaussian import canonical_gaussian_associate, factor_gaussian, is_gaussian_prime
 from .numtheory import factorint, is_prime
 from .scalars import QuadRational, as_fraction, as_gaussian, is_squarefree_int
 
@@ -293,27 +291,60 @@ def is_unit(element: BicomplexElement, L: ExtensionDescriptor) -> bool:
             and scalar_is_ring_unit(element.c2, L.K2))
 
 
-# -- canonical associates and prime elements ----------------------------------
+# -- component rings ----------------------------------------------------------
 
-def _component_ring(field: Field) -> str:
+@dataclass(frozen=True)
+class ComponentRing:
+    """The operations of Z or Z[i] on scalars of the component field:
+    ``associate`` splits a nonzero integral scalar as unit * canonical,
+    ``is_prime`` decides primality of an integral scalar, and ``factor``
+    returns the unit and canonical (prime, exponent) pairs."""
+
+    associate: Callable
+    is_prime: Callable
+    factor: Callable
+
+
+def _z_associate(scalar):
+    value = as_fraction(scalar)
+    return (Fraction(1), value) if value > 0 else (Fraction(-1), -value)
+
+
+def _z_factor(scalar):
+    n = as_fraction(scalar).numerator
+    return Fraction(-1 if n < 0 else 1), [(Fraction(p), e) for p, e in sorted(factorint(n).items())]
+
+
+_INTEGERS = ComponentRing(_z_associate, lambda x: is_prime(abs(as_fraction(x).numerator)),
+                          _z_factor)
+_GAUSSIAN_INTEGERS = ComponentRing(lambda x: canonical_gaussian_associate(as_gaussian(x)),
+                                   lambda x: is_gaussian_prime(as_gaussian(x)),
+                                   lambda x: factor_gaussian(as_gaussian(x)))
+
+
+def component_ring(field: Field) -> ComponentRing:
+    """Z for Q and Z[i] for Q(i), the component rings with element
+    factorization; any other field raises UnsupportedRingError."""
     if isinstance(field, RationalField):
-        return "Z"
+        return _INTEGERS
     if field.D == -1:
-        return "Zi"
+        return _GAUSSIAN_INTEGERS
     raise UnsupportedRingError(f"no element factorization over {field}")
 
 
-def _canonical_component(scalar, field: Field):
-    """unit, normalized with scalar = unit * normalized in O_K."""
-    ring = _component_ring(field)
-    if ring == "Z":
-        value = as_fraction(scalar)
-        if value > 0:
-            return Fraction(1), value
-        return Fraction(-1), -value
-    unit, normalized = canonical_gaussian_associate(as_gaussian(scalar))
-    return unit, normalized
+def component_class(scalar, field: Field) -> str:
+    """'zero', 'unit', 'prime' or 'other' in the component ring of field."""
+    ring = component_ring(field)
+    if not scalar:
+        return "zero"
+    if not scalar_is_integral(scalar, field):
+        return "other"
+    if abs(scalar_field_norm(scalar, field)) == 1:
+        return "unit"
+    return "prime" if ring.is_prime(scalar) else "other"
 
+
+# -- canonical associates and prime elements ----------------------------------
 
 def canonical_associate(element: BicomplexElement, L: ExtensionDescriptor
                         ) -> tuple[BicomplexElement, BicomplexElement]:
@@ -324,8 +355,8 @@ def canonical_associate(element: BicomplexElement, L: ExtensionDescriptor
     """
     if element.in_null_cone:
         raise NullConeError("null-cone elements have no canonical associate")
-    u1, n1 = _canonical_component(element.c1, L.K1)
-    u2, n2 = _canonical_component(element.c2, L.K2)
+    u1, n1 = component_ring(L.K1).associate(element.c1)
+    u2, n2 = component_ring(L.K2).associate(element.c2)
     return BicomplexElement(u1, u2), BicomplexElement(n1, n2)
 
 
@@ -336,31 +367,12 @@ class PrimeElementCheck:
     irreducible: bool
 
 
-def _component_class(scalar, field: Field) -> str:
-    ring = _component_ring(field)
-    if ring == "Z":
-        value = as_fraction(scalar)
-        if value == 0:
-            return "zero"
-        if abs(value) == 1:
-            return "unit"
-        return "prime" if value.denominator == 1 and is_prime(abs(value.numerator)) else "other"
-    g = as_gaussian(scalar)
-    if g.is_zero:
-        return "zero"
-    if not is_gaussian_integer(g):
-        return "other"
-    if gaussian_norm(g) == 1:
-        return "unit"
-    return "prime" if is_gaussian_prime(g) else "other"
-
-
 def is_prime_element(element: BicomplexElement, L: ExtensionDescriptor) -> PrimeElementCheck:
     """Classify prime elements: up to a unit they are e1, e2, pi*e1 + e2 or
     e1 + pi*e2.  The idempotents are prime but not irreducible; the two
     nondegenerate shapes are irreducible."""
-    class1 = _component_class(element.c1, L.K1)
-    class2 = _component_class(element.c2, L.K2)
+    class1 = component_class(element.c1, L.K1)
+    class2 = component_class(element.c2, L.K2)
     table = {
         ("unit", "zero"): ("e1", False),
         ("zero", "unit"): ("e2", False),
@@ -387,19 +399,6 @@ class BicomplexFactorization:
         return result
 
 
-def _factor_component(scalar, field: Field):
-    """unit plus canonical (prime, exponent) pairs in the component ring."""
-    ring = _component_ring(field)
-    if ring == "Z":
-        value = as_fraction(scalar)
-        n = value.numerator
-        unit = Fraction(-1) if n < 0 else Fraction(1)
-        pairs = [(Fraction(p), e) for p, e in sorted(factorint(n).items())]
-        return unit, pairs
-    unit, pairs = factor_gaussian(as_gaussian(scalar))
-    return unit, list(pairs)
-
-
 def _prime_sort_key(entry):
     element, _, form = entry
     g = as_gaussian(element.c1 if form == "prime_e1" else element.c2)
@@ -413,8 +412,7 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     Raises NullConeError for elements of zero norm and UnitInputError for
     units; the recomposition unit * prod(prime^exp) is exact.
     """
-    for field in (L.K1, L.K2):
-        _component_ring(field)
+    ring1, ring2 = component_ring(L.K1), component_ring(L.K2)
     if not is_integral(element, L):
         raise ValueError(f"{element} is not integral in {L}")
     if element.in_null_cone:
@@ -422,8 +420,8 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     if is_unit(element, L):
         raise UnitInputError(f"{element} is a unit of {L}")
 
-    unit1, pairs1 = _factor_component(element.c1, L.K1)
-    unit2, pairs2 = _factor_component(element.c2, L.K2)
+    unit1, pairs1 = ring1.factor(element.c1)
+    unit2, pairs2 = ring2.factor(element.c2)
     entries = [(BicomplexElement(p, 1), e, "prime_e1") for p, e in pairs1]
     entries += [(BicomplexElement(1, p), e, "prime_e2") for p, e in pairs2]
     entries.sort(key=_prime_sort_key)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
+from .numtheory import factorint
+
 Rational = (int, Fraction)
 
 
@@ -24,13 +26,7 @@ class MixedScalarError(TypeError):
 
 
 def is_squarefree_int(d: int) -> bool:
-    n = abs(d)
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 1
-    return True
+    return all(e == 1 for e in factorint(d).values())
 
 
 class QuadRational:

@@ -2,13 +2,15 @@
 
 Ideals decompose componentwise; here they are represented by principal
 component generators (the component rings exercised, Z and Z[i], are
-principal).  The two degenerate ideals generated by the idempotents are
-prime but carry no norm and are excluded from the zeta index set.
+principal), normalized and classified by the component ring operations of
+:func:`bicomplex.rings.component_ring`.  The two degenerate ideals
+generated by the idempotents are prime but carry no norm and are excluded
+from the zeta index set.
 
 Ideal counts: the rationals have one ideal per norm; the Gaussian integers
 have r(n)/4 ideals of norm n with r the sum-of-two-squares count given by
-Jacobi's divisor formula; counts for an extension are the Dirichlet
-convolution of the component counts.
+Jacobi's divisor formula.  The table of any extension whose components are
+Q or Q(i) is the Dirichlet convolution of its two component tables.
 """
 from __future__ import annotations
 
@@ -16,25 +18,20 @@ import math
 from dataclasses import dataclass
 
 from .element import BicomplexElement
-from .gaussian import (
-    canonical_gaussian_associate,
-    gaussian_norm,
-    is_gaussian_integer,
-    is_gaussian_prime,
-)
-from .numtheory import divisors, is_prime
+from .gaussian import canonical_gaussian_associate
+from .numtheory import divisors
 from .rings import (
     ExtensionDescriptor,
     Field,
     GAUSSIAN_FIELD,
-    QB,
-    QH,
-    Q_FIELD,
     QuadraticField,
     RationalField,
     UnsupportedRingError,
+    component_class,
+    component_ring,
+    scalar_field_norm,
+    scalar_is_integral,
 )
-from .scalars import as_fraction, as_gaussian
 
 
 class DegenerateIdealError(ValueError):
@@ -65,35 +62,22 @@ class ComponentIdeal:
         """The ideal generated by an integral element, normalized: zero and
         unit generators collapse to the zero and full ideals, others are
         replaced by their canonical associate."""
-        if isinstance(field, RationalField):
-            value = as_fraction(generator)
-            if value.denominator != 1:
-                raise ValueError(f"{generator} is not integral")
-            if value == 0:
-                return ComponentIdeal.zero()
-            if abs(value) == 1:
-                return ComponentIdeal.full()
-            return ComponentIdeal(ComponentIdeal.PRINCIPAL_KIND, abs(value))
-        if isinstance(field, QuadraticField) and field.D == -1:
-            g = as_gaussian(generator)
-            if not is_gaussian_integer(g):
-                raise ValueError(f"{generator} is not integral")
-            if g.is_zero:
-                return ComponentIdeal.zero()
-            if gaussian_norm(g) == 1:
-                return ComponentIdeal.full()
-            return ComponentIdeal(ComponentIdeal.PRINCIPAL_KIND,
-                                  canonical_gaussian_associate(g)[1])
-        raise UnsupportedRingError(f"principal ideals not supported over {field}")
+        kind = component_class(generator, field)
+        if kind == "zero":
+            return ComponentIdeal.zero()
+        if kind == "unit":
+            return ComponentIdeal.full()
+        if not scalar_is_integral(generator, field):
+            raise ValueError(f"{generator} is not integral")
+        return ComponentIdeal(ComponentIdeal.PRINCIPAL_KIND,
+                              component_ring(field).associate(generator)[1])
 
     def norm(self, field: Field) -> int:
         if self.kind == self.ZERO_KIND:
             raise DegenerateIdealError("the zero component ideal has no finite norm")
         if self.kind == self.FULL_KIND:
             return 1
-        if isinstance(field, RationalField):
-            return int(as_fraction(self.generator))
-        return gaussian_norm(as_gaussian(self.generator))
+        return int(scalar_field_norm(self.generator, field))
 
     def is_prime(self, field: Field) -> bool:
         """Prime as a component ideal; the zero ideal is prime (the
@@ -102,9 +86,7 @@ class ComponentIdeal:
             return True
         if self.kind == self.FULL_KIND:
             return False
-        if isinstance(field, RationalField):
-            return is_prime(int(as_fraction(self.generator)))
-        return is_gaussian_prime(as_gaussian(self.generator))
+        return component_class(self.generator, field) == "prime"
 
 
 @dataclass(frozen=True)
@@ -112,12 +94,6 @@ class BicomplexIdeal:
     a1: ComponentIdeal
     a2: ComponentIdeal
     L: ExtensionDescriptor
-
-    @property
-    def is_degenerate(self) -> bool:
-        kinds = (self.a1.kind, self.a2.kind)
-        return kinds in ((ComponentIdeal.FULL_KIND, ComponentIdeal.ZERO_KIND),
-                         (ComponentIdeal.ZERO_KIND, ComponentIdeal.FULL_KIND))
 
 
 def principal_ideal(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexIdeal:
@@ -187,53 +163,41 @@ def dirichlet_convolve(f: CoefficientTable, g: CoefficientTable) -> CoefficientT
     """(f*g)(n) = sum over divisors d of n of f(d) g(n/d), exactly."""
     if f.N != g.N:
         raise ValueError(f"length mismatch: {f.N} != {g.N}")
-    n_max = f.N
+    n_max, gv = f.N, g.values
     out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        fd = f.values[d - 1]
+    for d, fd in enumerate(f.values, start=1):
         if fd == 0:
             continue
         for q in range(1, n_max // d + 1):
-            out[d * q] += fd * g.values[q - 1]
+            out[d * q] += fd * gv[q - 1]
     return CoefficientTable(tuple(out[1:]))
 
 
-def _r_table(n_max: int) -> list[int]:
+def _r_table(n_max: int) -> tuple[int, ...]:
+    """r(n)/4 for n = 1..n_max: the number of divisors of n that are 1 mod 4
+    minus the number that are 3 mod 4."""
     acc = [0] * (n_max + 1)
     for d in range(1, n_max + 1, 2):
         chi = 1 if d % 4 == 1 else -1
         for m in range(d, n_max + 1, d):
             acc[m] += chi
-    return [4 * v for v in acc]
+    return tuple(acc[1:])
 
 
 def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
-    """Ideal counts a(1..N) for Q, Q(i), the hyperbolic extension or the
-    Gaussian-component quartic extension."""
+    """Ideal counts a(1..N) for Q, Q(i) and any extension whose components
+    are among them: the Dirichlet convolution of the component tables."""
     if n_max < 1:
         raise ValueError("table length must be >= 1")
     k = field_or_extension
+    if isinstance(k, ExtensionDescriptor):
+        table1 = coefficient_table(k.K1, n_max)
+        table2 = table1 if k.K2 == k.K1 else coefficient_table(k.K2, n_max)
+        return dirichlet_convolve(table1, table2)
     if isinstance(k, RationalField):
         return CoefficientTable((1,) * n_max)
-    if isinstance(k, QuadraticField) and k.D == -1:
-        r = _r_table(n_max)
-        assert all(v % 4 == 0 for v in r[1:])
-        return CoefficientTable(tuple(v // 4 for v in r[1:]))
-    if k == QH:
-        ones = coefficient_table(Q_FIELD, n_max)
-        return dirichlet_convolve(ones, ones)
-    if k == QB:
-        # Convolve the raw sum-of-two-squares counts, then peel off the
-        # 16 = 4*4 unit associates; divisibility is asserted, not assumed.
-        r = _r_table(n_max)
-        out = [0] * (n_max + 1)
-        for d in range(1, n_max + 1):
-            if r[d] == 0:
-                continue
-            for q in range(1, n_max // d + 1):
-                out[d * q] += r[d] * r[q]
-        assert all(v % 16 == 0 for v in out[1:])
-        return CoefficientTable(tuple(v // 16 for v in out[1:]))
+    if k == GAUSSIAN_FIELD:
+        return CoefficientTable(_r_table(n_max))
     raise UnsupportedRingError(f"no coefficient table for {k}")
 
 

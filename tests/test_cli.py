@@ -116,6 +116,9 @@ def test_cli_disc(capsys):
     assert (code, out.strip()) == (0, "16")
     code, out, _ = run(capsys, "disc", "--L", "Qh")
     assert (code, out.strip()) == (0, "1")
+    # a 31-digit radicand: squarefreeness is checked by factoring, no hang
+    code, out, _ = run(capsys, "disc", "--L", "custom:Q(sqrt:1000000000000000000000000000001),Q")
+    assert (code, out.strip()) == (0, "1000000000000000000000000000001")
 
 
 def test_cli_ideal_count_json(capsys):

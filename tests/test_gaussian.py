@@ -1,6 +1,8 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bicomplex.gaussian import (
     canonical_gaussian_associate,
@@ -128,3 +130,61 @@ def test_integer_primality_helpers():
         assert (t * t + 1) % p == 0
     with pytest.raises(ValueError):
         sqrt_minus_one_mod(7)
+
+
+# -- the integer kernels on drawn Gaussian integers -----------------------------
+
+kernels = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def gaussians(bits):
+    """Gaussian integers whose parts have at most ``bits`` bits."""
+    part = st.integers(min_value=-(1 << bits), max_value=1 << bits)
+    return st.builds(gaussian_int, part, part)
+
+
+# Inputs to factor: a product of small factors (repeated primes, exponents
+# above 1) or one element with parts up to 20 bits, whose norm of at most 41
+# bits keeps factorint's trial division short.
+factorable = st.one_of(
+    st.lists(gaussians(6).filter(bool), min_size=1, max_size=5).map(prod),
+    gaussians(20).filter(bool))
+
+
+@pytest.fixture(scope="module")
+def zz_i():
+    return pytest.importorskip("sympy.polys.domains").ZZ_I
+
+
+@kernels
+@given(gaussians(40), gaussians(40))
+def test_gcd_is_a_canonical_common_divisor(zz_i, g, h):
+    assume(g or h)
+    d = gaussian_gcd(g, h)
+    assert canonical_gaussian_associate(d) == (gaussian_int(1), d)
+    assert exact_gaussian_div(g, d) is not None
+    assert exact_gaussian_div(h, d) is not None
+    expected = zz_i.gcd(zz_i(int(g.re), int(g.im)), zz_i(int(h.re), int(h.im)))
+    assert canonical_gaussian_associate(gaussian_int(expected.x, expected.y))[1] == d
+
+
+@kernels
+@given(gaussians(40), gaussians(40).filter(bool), gaussians(40).filter(bool))
+def test_exact_division_of_drawn_products(g, h, s):
+    assert exact_gaussian_div(g * h, h) == g
+    # h cannot divide a nonzero s of smaller norm, so not g*h + s either
+    assume(gaussian_norm(s) < gaussian_norm(h))
+    assert exact_gaussian_div(g * h + s, h) is None
+
+
+@kernels
+@given(factorable)
+def test_factor_recomposes_into_canonical_primes(g):
+    unit, factors = factor_gaussian(g)
+    assert gaussian_norm(unit) == 1
+    assert recompose(unit, factors) == g
+    for prime, exponent in factors:
+        assert exponent >= 1
+        assert is_gaussian_prime(prime)
+        assert canonical_gaussian_associate(prime) == (gaussian_int(1), prime)
+    assert len({p for p, _ in factors}) == len(factors)

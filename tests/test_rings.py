@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -325,6 +326,20 @@ def test_pell_fundamental_unit():
     assert x * x - 61 * y * y in (1, -1) and y > 0
     with pytest.raises(ValueError):
         pell_fundamental_unit(4)
+
+
+def test_radicand_squarefreeness_by_factoring():
+    """A 31-digit radicand is checked by factoring it, not by trial division
+    up to its square root."""
+    K = QuadraticField(10 ** 30 + 1)
+    assert discriminant(ExtensionDescriptor(K, Q_FIELD)) == 10 ** 30 + 1
+    with pytest.raises(ValueError):
+        QuadRational(5 * 1000003 ** 2, 1, 1)
+    with pytest.raises(ValueError):
+        QuadraticField(-7 * 4)
+    for d in range(-2000, 2001):
+        n = abs(d)
+        assert is_squarefree_int(d) == all(n % (f * f) for f in range(2, math.isqrt(n) + 1))
 
 
 def test_mixed_quadratic_extension_numeric_ops_only():

@@ -33,6 +33,8 @@ from bicomplex.zeta import (
     zeta_partial,
 )
 
+L_C2 = ExtensionDescriptor(Q_FIELD, GAUSSIAN_FIELD)
+
 
 def test_ideal_norm_examples():
     ideal = BicomplexIdeal(ComponentIdeal.principal(2, Q_FIELD),
@@ -128,9 +130,23 @@ def test_coefficient_table_gaussian_and_quartic():
         assert table_b.a(n) == expected
 
 
+def test_coefficient_table_of_c2_extension():
+    """Q*e1 + Q(i)*e2 (unit class C2): a(n) counts pairs of component ideals,
+    one ideal of Z for each divisor d of n and the ideals of Z[i] of norm d."""
+    table = coefficient_table(L_C2, 200)
+    for n in range(1, 201):
+        assert table.a(n) == sum(brute_force_ideal_count(GAUSSIAN_FIELD, d)
+                                 for d in range(1, n + 1) if n % d == 0)
+    assert coefficient_table(ExtensionDescriptor(GAUSSIAN_FIELD, Q_FIELD), 200) == table
+
+
 def test_coefficient_table_errors():
     with pytest.raises(UnsupportedRingError):
         coefficient_table(QuadraticField(-3), 10)
+    for L in (ExtensionDescriptor(QuadraticField(-3), Q_FIELD),
+              ExtensionDescriptor(GAUSSIAN_FIELD, QuadraticField(-3))):
+        with pytest.raises(UnsupportedRingError):
+            coefficient_table(L, 10)
     with pytest.raises(ValueError):
         coefficient_table(Q_FIELD, 0)
 
@@ -174,6 +190,33 @@ def test_brute_force_ideal_count():
         assert brute_force_ideal_count(Q_FIELD, n) == 1
     with pytest.raises(UnsupportedRingError):
         brute_force_ideal_count(QuadraticField(2), 5)
+
+
+def test_c2_ideals_agree_with_factor():
+    rng = random.Random(83)
+    checked = 0
+    for _ in range(60):
+        el = BicomplexElement(rng.randrange(-60, 61),
+                              GaussianRational(rng.randrange(-40, 41), rng.randrange(-40, 41)))
+        if el.in_null_cone or (abs(el.c1) == 1 and gaussian_norm(el.c2) == 1):
+            continue
+        ideal = principal_ideal(el, L_C2)
+        assert ideal.a1 == ComponentIdeal.principal(abs(el.c1), Q_FIELD)
+        if ideal.a2.kind == ComponentIdeal.PRINCIPAL_KIND:  # an associate of el.c2
+            assert exact_gaussian_div(el.c2, ideal.a2.generator) is not None
+            assert exact_gaussian_div(ideal.a2.generator, el.c2) is not None
+        else:
+            assert ideal.a2.kind == ComponentIdeal.FULL_KIND and gaussian_norm(el.c2) == 1
+        decomposition = factor(el, L_C2)
+        product = 1
+        for prime, exponent in decomposition.factors:
+            prime_ideal = principal_ideal(prime, L_C2)
+            assert is_prime_ideal(prime_ideal)
+            product *= ideal_norm(prime_ideal) ** exponent
+        assert product == ideal_norm(ideal) == abs(el.c1) * gaussian_norm(el.c2)
+        assert principal_ideal(decomposition.unit * el, L_C2) == ideal
+        checked += 1
+    assert checked > 40
 
 
 def test_factorization_ideal_norm_product():
