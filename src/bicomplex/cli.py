@@ -26,7 +26,7 @@ from .census import (
     locus_factors,
     numeric_roots,
 )
-from .element import BicomplexElement, NullConeError, format_cartesian
+from .element import BicomplexElement, NullConeError, format_cartesian, idempotent_literal
 from .minpoly import minpoly_bicomplex, quartic_charpoly
 from .polys import IntPoly, Poly, content_primitive, cyclotomic, format_poly
 from .radix import (
@@ -55,7 +55,7 @@ from .rings import (
     rational_prime_profile,
     unit_group,
 )
-from .scalars import GaussianRational, format_scalar
+from .scalars import GaussianRational
 from .zeta import DegenerateIdealError, coefficient_table, zeta_partial
 
 DOMAIN_ERRORS = (NullConeError, NonTerminationError, DegenerateIdealError,
@@ -116,24 +116,25 @@ class _Scanner:
 _STOP = {",", "]", None}
 
 
-def _parse_combo(sc: _Scanner, units: str) -> dict[str, Fraction]:
-    """Sum of signed terms 'q', 'q*u' or 'u' over the given unit letters."""
-    coeffs = {u: Fraction(0) for u in units}
-    coeffs[""] = Fraction(0)
-    first = True
+def _scan_terms(sc: _Scanner, units: str) -> dict[tuple[str, int], Fraction]:
+    """A sum of signed terms 'q', 'q*u' or 'u' over the unit letters, read up
+    to ',', ']' or the end.  'X' (or 'x') may carry a power 'X^n'.  The
+    coefficients are summed by (unit, power); a constant is ('', 0)."""
+    terms: dict[tuple[str, int], Fraction] = {}
     while True:
         sc.skip_ws()
         if sc.peek() in _STOP:
-            if first:
+            if not terms:
                 raise ParseError("empty expression", sc.pos)
-            return coeffs
+            return terms
         sign = 1
         if sc.peek() in "+-":
             sign = 1 if sc.take() == "+" else -1
-        elif not first:
+        elif terms:
             raise ParseError("expected '+' or '-'", sc.pos)
         sc.skip_ws()
         ch = sc.peek()
+        value, unit = Fraction(1), ""
         if ch is not None and ch.isdigit():
             value = sc.scan_number()
             sc.skip_ws()
@@ -143,17 +144,29 @@ def _parse_combo(sc: _Scanner, units: str) -> dict[str, Fraction]:
                 unit = sc.take()
                 if unit not in units:
                     raise ParseError(f"unknown unit {unit!r}", sc.pos - 1)
-                coeffs[unit] += sign * value
-            elif sc.peek() in _STOP or sc.peek() in "+-":
-                coeffs[""] += sign * value
-            else:
+            elif sc.peek() not in _STOP and sc.peek() not in "+-":
+                if sc.peek() in units:
+                    raise ParseError(f"write coefficient*{sc.peek()} with explicit '*'", sc.pos)
                 raise ParseError("expected '*', '+', '-' or end", sc.pos)
         elif ch is not None and ch in units:
-            sc.take()
-            coeffs[ch] += sign
+            unit = sc.take()
         else:
             raise ParseError("expected a term", sc.pos)
-        first = False
+        power = 1 if unit else 0
+        if unit in ("X", "x"):
+            unit = "X"
+            sc.skip_ws()
+            if sc.peek() == "^":
+                sc.take()
+                sc.skip_ws()
+                power = sc.scan_uint()
+        terms[unit, power] = terms.get((unit, power), Fraction(0)) + sign * value
+
+
+def _coefficients(sc: _Scanner, units: str) -> list[Fraction]:
+    """The constant and then each unit's coefficient of one term sum."""
+    terms = _scan_terms(sc, units)
+    return [terms.get(("", 0), Fraction(0))] + [terms.get((u, 1), Fraction(0)) for u in units]
 
 
 def parse_element(text: str) -> BicomplexElement:
@@ -162,66 +175,30 @@ def parse_element(text: str) -> BicomplexElement:
     sc.skip_ws()
     if sc.peek() == "[":
         sc.take()
-        part1 = _parse_combo(sc, "i")
+        part1 = _coefficients(sc, "i")
         sc.expect(",")
-        part2 = _parse_combo(sc, "i")
+        part2 = _coefficients(sc, "i")
         sc.expect("]")
         sc.skip_ws()
         if sc.peek() is not None:
             raise ParseError("trailing input after ']'", sc.pos)
-        return BicomplexElement(GaussianRational(part1[""], part1["i"]),
-                                GaussianRational(part2[""], part2["i"]))
-    coeffs = _parse_combo(sc, "ijk")
+        return BicomplexElement(GaussianRational(*part1), GaussianRational(*part2))
+    coeffs = _coefficients(sc, "ijk")
     if sc.peek() is not None:
         raise ParseError("trailing input", sc.pos)
-    return BicomplexElement.from_cartesian(coeffs[""], coeffs["i"], coeffs["j"], coeffs["k"])
+    return BicomplexElement.from_cartesian(*coeffs)
 
 
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial in X with rational coefficients."""
     sc = _Scanner(text)
-    coeffs: dict[int, Fraction] = {}
-    first = True
-    while True:
-        sc.skip_ws()
-        if sc.peek() is None:
-            if first:
-                raise ParseError("empty polynomial", sc.pos)
-            break
-        sign = 1
-        if sc.peek() in "+-":
-            sign = 1 if sc.take() == "+" else -1
-        elif not first:
-            raise ParseError("expected '+' or '-'", sc.pos)
-        sc.skip_ws()
-        ch = sc.peek()
-        value = Fraction(1)
-        have_value = False
-        if ch is not None and ch.isdigit():
-            value = sc.scan_number()
-            have_value = True
-            sc.skip_ws()
-            if sc.peek() == "*":
-                sc.take()
-                sc.skip_ws()
-            elif sc.peek() in ("X", "x"):
-                raise ParseError("write coefficient*X with explicit '*'", sc.pos)
-        if sc.peek() in ("X", "x"):
-            sc.take()
-            power = 1
-            sc.skip_ws()
-            if sc.peek() == "^":
-                sc.take()
-                sc.skip_ws()
-                power = sc.scan_uint()
-        elif have_value:
-            power = 0
-        else:
-            raise ParseError("expected a coefficient or X", sc.pos)
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * value
-        first = False
-    top = max(coeffs)
-    return Poly.of(*[coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+    terms = _scan_terms(sc, "Xx")
+    if sc.peek() is not None:
+        raise ParseError("trailing input", sc.pos)
+    coeffs = [Fraction(0)] * (1 + max(power for _, power in terms))
+    for (_, power), value in terms.items():
+        coeffs[power] += value
+    return Poly.of(*coeffs)
 
 
 def parse_int_poly(text: str) -> IntPoly:
@@ -284,10 +261,6 @@ def parse_radix_base(text: str):
 
 
 # -- output helpers -------------------------------------------------------------
-
-def idempotent_literal(el: BicomplexElement) -> str:
-    return f"[{format_scalar(el.c1)}, {format_scalar(el.c2)}]"
-
 
 def element_payload(el: BicomplexElement) -> dict:
     payload = {"idempotent": idempotent_literal(el)}
@@ -371,16 +344,9 @@ def _input_int_poly(args) -> IntPoly:
 
 
 def _census_payload(c: Census) -> dict:
-    return {
-        "degree": c.degree,
-        "real_roots": c.real_roots,
-        "complex_pairs": c.complex_pairs,
-        "i_plane": c.i_plane,
-        "j_plane": c.j_plane,
-        "k_plane": c.k_plane,
-        "off_plane": c.off_plane,
-        "total": c.total,
-    }
+    names = ("degree", "real_roots", "complex_pairs", "i_plane", "j_plane", "k_plane",
+             "off_plane", "total")
+    return {name: getattr(c, name) for name in names}
 
 
 def _cmd_census(args) -> int:

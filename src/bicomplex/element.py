@@ -23,6 +23,8 @@ from .scalars import (
     abs_sq,
     as_gaussian,
     format_scalar,
+    format_terms,
+    power,
 )
 
 CONJUGATION_AXES = ("i", "j", "k")
@@ -108,13 +110,7 @@ class BicomplexElement:
     def __pow__(self, n: int) -> BicomplexElement:
         if n < 0:
             return self.invert() ** (-n)
-        result, square = ONE, self
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return power(self, n, ONE)
 
     def scale(self, q) -> BicomplexElement:
         """Multiply by a plain rational."""
@@ -182,7 +178,7 @@ class BicomplexElement:
     def __str__(self) -> str:
         if self.has_cartesian_view:
             return format_cartesian(self.to_cartesian())
-        return f"[{format_scalar(self.c1)}, {format_scalar(self.c2)}]"
+        return idempotent_literal(self)
 
     def __repr__(self) -> str:
         return f"BicomplexElement({self.c1!r}, {self.c2!r})"
@@ -190,20 +186,12 @@ class BicomplexElement:
 
 def format_cartesian(coords) -> str:
     """Canonical Cartesian literal 'x+y*i+z*j+t*k' omitting zero terms."""
-    parts = []
-    for coord, unit in zip(coords, ("", "i", "j", "k")):
-        if coord == 0:
-            continue
-        mag = abs(coord)
-        if unit == "":
-            body = str(mag)
-        else:
-            body = unit if mag == 1 else f"{mag}*{unit}"
-        if not parts:
-            parts.append(body if coord > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if coord > 0 else f"-{body}")
-    return "".join(parts) if parts else "0"
+    return format_terms(zip(coords, ("", "i", "j", "k")), "")
+
+
+def idempotent_literal(el: BicomplexElement) -> str:
+    """The idempotent literal '[c1, c2]' of an element."""
+    return f"[{format_scalar(el.c1)}, {format_scalar(el.c2)}]"
 
 
 ZERO = BicomplexElement.from_rational(0)

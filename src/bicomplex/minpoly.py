@@ -51,17 +51,9 @@ def minpoly_bicomplex(element: BicomplexElement) -> MinPolyResult:
     return MinPolyResult(p1 * p2, "product", (p1, p2))
 
 
-def _eval_scalar(poly: Poly, scalar):
-    acc = Fraction(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * scalar + c
-    return acc
-
-
 def eval_at_bicomplex(poly: Poly, element: BicomplexElement) -> BicomplexElement:
     """Componentwise Horner evaluation of a rational polynomial."""
-    return BicomplexElement(_eval_scalar(poly, element.c1),
-                            _eval_scalar(poly, element.c2))
+    return BicomplexElement(poly(element.c1), poly(element.c2))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import factorint
+from .scalars import format_terms, power
 
 
 def _trim(coeffs):
@@ -99,14 +100,7 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return power(self, n, Poly.one())
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Exact quotient and remainder with deg(remainder) < deg(other)."""
@@ -137,7 +131,7 @@ class Poly:
         return format_poly(self)
 
     def __repr__(self) -> str:
-        return f"Poly('{format_poly(self)}')"
+        return f"{type(self).__name__}('{format_poly(self)}')"
 
 
 @dataclass(frozen=True)
@@ -177,6 +171,8 @@ class IntPoly:
         return Poly(tuple(Fraction(c) for c in self.coeffs))
 
     __call__ = Poly.__call__
+    __str__ = Poly.__str__
+    __repr__ = Poly.__repr__
 
     def __mul__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
@@ -187,12 +183,6 @@ class IntPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(tuple(out))
-
-    def __str__(self) -> str:
-        return format_poly(self.to_poly())
-
-    def __repr__(self) -> str:
-        return f"IntPoly('{format_poly(self.to_poly())}')"
 
 
 def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
@@ -324,24 +314,7 @@ def cyclotomic(n: int) -> IntPoly:
     return IntPoly(tuple(c))
 
 
-def format_poly(p: Poly, var: str = "X") -> str:
+def format_poly(p: Poly | IntPoly, var: str = "X") -> str:
     """ASCII form with explicit '*' between coefficient and variable."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            xk = var if k == 1 else f"{var}^{k}"
-            body = xk if mag == 1 else f"{mag}*{xk}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+    units = ["", var] + [f"{var}^{k}" for k in range(2, len(p.coeffs))]
+    return format_terms(reversed(list(zip(p.coeffs, units))), " ")

@@ -10,6 +10,9 @@ quadratic rationals with different radicands raises
 
 Equality and hashing are by numeric value: a quadratic rational with
 ``b == 0`` equals, and hashes as, the plain rational ``a``.
+
+:func:`format_terms` writes every signed sum the package prints, and
+:func:`power` is the one square-and-multiply loop behind each ``__pow__``.
 """
 from __future__ import annotations
 
@@ -108,13 +111,7 @@ class QuadRational:
     def __pow__(self, n: int) -> QuadRational:
         if n < 0:
             return 1 / self ** (-n)
-        result, square = _quad(self._D, Fraction(1), Fraction(0)), self
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return power(self, n, _quad(self._D, Fraction(1), Fraction(0)))
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
@@ -200,15 +197,46 @@ def abs_sq(x):
     return Fraction(x * x) if isinstance(x, Rational) else x.norm_sq()
 
 
+def power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply; ``one`` is the result for n = 0."""
+    result = one
+    while True:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
+def format_terms(terms, sep: str) -> str:
+    """The signed sum of (coefficient, unit) terms, in the order given.
+
+    Zero terms are omitted, a unit coefficient is written as the bare unit
+    and the empty unit marks a constant; ``sep`` goes on both sides of each
+    sign between terms.  An all-zero sum is '0'.
+
+    >>> format_terms([(Fraction(-3, 2), ""), (1, "i"), (-2, "j")], "")
+    '-3/2+i-2*j'
+    """
+    parts = []
+    for coeff, unit in terms:
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        if not unit:
+            body = str(mag)
+        else:
+            body = unit if mag == 1 else f"{mag}*{unit}"
+        if parts:
+            parts.append(f"{sep}{'-' if coeff < 0 else '+'}{sep}{body}")
+        else:
+            parts.append(f"-{body}" if coeff < 0 else body)
+    return "".join(parts) or "0"
+
+
 def format_scalar(x) -> str:
     """Literal form: 'a', 'a+b*i' or 'a+b*sqrt(D)' with exact fractions."""
     if isinstance(x, Rational):
-        return str(Fraction(x))
-    re, im, unit = x.a, x.b, "i" if x.D == -1 else f"sqrt({x.D})"
-    if im == 0:
-        return str(re)
-    if im > 0:
-        unit_part = unit if im == 1 else f"{im}*{unit}"
-        return unit_part if re == 0 else f"{re}+{unit_part}"
-    unit_part = f"-{unit}" if im == -1 else f"-{-im}*{unit}"
-    return unit_part if re == 0 else f"{re}{unit_part}"
+        return format_terms([(x, "")], "")
+    return format_terms([(x.a, ""), (x.b, "i" if x.D == -1 else f"sqrt({x.D})")], "")

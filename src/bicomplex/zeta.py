@@ -132,9 +132,8 @@ def jacobi_r(n: int) -> int:
     between the divisor counts in classes 1 and 3 mod 4."""
     if n < 1:
         raise ValueError("jacobi_r needs n >= 1")
-    ones = sum(1 for d in divisors(n) if d % 4 == 1)
-    threes = sum(1 for d in divisors(n) if d % 4 == 3)
-    return 4 * (ones - threes)
+    residues = [d % 4 for d in divisors(n)]
+    return 4 * (residues.count(1) - residues.count(3))
 
 
 @dataclass(frozen=True)
@@ -205,13 +204,19 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     """The truncated Dirichlet sum of a(n)/n^s for s > 1, in floating point.
 
     Coefficient identities are exact and tested separately; this is only a
-    guarded numeric evaluation of the partial sum.
+    guarded numeric evaluation of the partial sum.  The terms are added left
+    to right by plain float addition, so the value does not depend on the
+    Python version (``sum`` compensates float sums from 3.12 on).
     """
     s = float(s)
     if not s > 1:
         raise ValueError("zeta partial sums need s > 1")
     table = coefficient_table(field_or_extension, n_max)
-    return sum(a / n ** s for n, a in enumerate(table.values, start=1) if a)
+    total = 0
+    for n, a in enumerate(table.values, start=1):
+        if a:
+            total += a / n ** s
+    return total
 
 
 def brute_force_ideal_count(field: Field, n: int) -> int:

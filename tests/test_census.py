@@ -83,9 +83,9 @@ def test_census_invariants_random():
 
 def test_census_validation():
     with pytest.raises(ValueError):
-        Census(3, 1, 1, 2, 1, 2, 3)  # j_plane should be 0
+        Census(3, 2)  # one non-real root has no conjugate partner
     with pytest.raises(ValueError):
-        Census(3, 2, 1, 2, 2, 2, 4)  # 3 != 2 + 2
+        Census(3, 4)  # more real roots than the degree
 
 
 def test_enumerate_cubic_example():

@@ -17,7 +17,7 @@ from bicomplex.cli import (
     parse_table_key,
 )
 from bicomplex.element import BicomplexElement, format_cartesian
-from bicomplex.polys import Poly
+from bicomplex.polys import Poly, format_poly
 from bicomplex.radix import GaussBase, HypGaussBase, HypSplitBase
 from bicomplex.rings import ExtensionDescriptor, QB, QH, QuadraticField, Q_FIELD
 from bicomplex.scalars import GaussianRational
@@ -46,7 +46,7 @@ def test_parse_element_idempotent():
 
 
 def test_parse_element_errors_carry_positions():
-    for text in ("1+", "2x", "[2, 2*i", "1+q", "3//2", "[1, 2] junk", "", "1 2"):
+    for text in ("1+", "2x", "[2, 2*i", "1+q", "3//2", "[1, 2] junk", "", "1 2", "i^2", "2*"):
         with pytest.raises(ParseError) as err:
             parse_element(text)
         assert "position" in str(err.value)
@@ -67,6 +67,10 @@ def test_parse_print_round_trip_corpus():
                                   GaussianRational(parts[2], parts[3]))
             text = idempotent_literal(el)
         assert parse_element(text) == el
+    for _ in range(300):
+        poly = Poly.of(*(Fraction(rng.randrange(-20, 21), rng.randrange(1, 9)) * rng.randrange(2)
+                         for _ in range(rng.randrange(8))))
+        assert parse_poly(format_poly(poly)) == poly
 
 
 def test_parse_poly():
@@ -76,8 +80,9 @@ def test_parse_poly():
     assert parse_poly("1/2*X^2 + X") == Poly.of(0, 1, Fraction(1, 2))
     with pytest.raises(ParseError):
         parse_poly("2X")  # implicit multiplication is rejected
-    with pytest.raises(ParseError):
-        parse_poly("X^")
+    for text in ("X^", "2*", "X^2 - 3*", "2*-X", "2^3", "X + 1 1"):
+        with pytest.raises(ParseError):
+            parse_poly(text)
 
 
 def test_parse_descriptors():
@@ -220,6 +225,8 @@ def test_cli_exit_codes(capsys):
     assert (code, out) == (2, "") and "non-finite iterate" in err
     code, _, err = run(capsys, "minpoly", "1+!")
     assert code == 1
+    code, out, err = run(capsys, "census", "--poly", "X^2 - 2*")
+    assert (code, out) == (1, "") and "end of input" in err
     code, _, err = run(capsys, "no-such-command")
     assert code == 1
     code, _, err = run(capsys, "factor", "[2, 3]", "--L", "custom:Q(sqrt:2),Q")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -101,6 +102,26 @@ def test_invert():
     assert J_UNIT.invert() == J_UNIT
     with pytest.raises(NullConeError):
         E1.invert()
+
+
+def test_power_law():
+    rng = random.Random(41)
+    for trial in range(120):
+        if trial % 3:
+            el = random_element(rng, span=4)
+        else:  # components in Q(sqrt(5)), which have no Cartesian view
+            el = BicomplexElement(*(QuadRational(5, rng.randrange(-3, 4), rng.randrange(-3, 4))
+                                    for _ in range(2)))
+        m, n = rng.randrange(-4, 5), rng.randrange(-4, 5)
+        if el.in_null_cone and min(m, n) < 0:
+            with pytest.raises(NullConeError):
+                el ** min(m, n)
+            continue
+        assert el ** m * el ** n == el ** (m + n)
+        assert el ** abs(m) == math.prod([el] * abs(m), start=ONE)
+    assert E1 ** 3 == E1 and E1 ** 0 == ONE
+    with pytest.raises(NullConeError):
+        E1 ** -1
 
 
 def test_conjugation_idempotent_forms():

@@ -23,6 +23,18 @@ def test_poly_add_mul():
     assert Poly.of(0, 1) ** 3 == Poly.of(0, 0, 0, 1)
 
 
+def test_power_law():
+    rng = random.Random(23)
+    for _ in range(30):
+        p = Poly.of(*(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                      for _ in range(rng.randrange(1, 4))))
+        m, n = rng.randrange(5), rng.randrange(5)
+        assert p ** m * p ** n == p ** (m + n)
+        assert p ** m == math.prod([p] * m, start=Poly.one())
+    with pytest.raises(ValueError):
+        Poly.of(1, 1) ** -1
+
+
 def test_divmod_perfect_square():
     q, r = divmod(Poly.of(1, -2, 1), Poly.of(-1, 1))
     assert q == Poly.of(-1, 1)

@@ -4,6 +4,7 @@ Operands are plain rationals and quadratic rationals a + b*sqrt(D) over one
 radicand per example: D = -1 (the Gaussian rationals) or the real D = 5.
 Rationals must combine with either radicand.
 """
+import math
 import operator
 from fractions import Fraction
 
@@ -81,3 +82,17 @@ def test_two_radicands_do_not_mix(a, b, c, d):
         with pytest.raises(MixedScalarError):
             op(y, x)
     assert x != y
+
+
+@laws
+@given(st.builds(QuadRational, st.sampled_from(RADICANDS), fractions, fractions),
+       st.integers(-5, 5), st.integers(-5, 5))
+def test_power_law(x, m, n):
+    if not x and min(m, n) < 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** min(m, n)
+        return
+    assert x ** m * x ** n == x ** (m + n)
+    assert x ** abs(m) == math.prod([x] * abs(m))
+    if m < 0:
+        assert x ** m * x ** -m == 1
