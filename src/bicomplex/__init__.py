@@ -39,6 +39,7 @@ from .minpoly import (
     minpoly_component,
     quartic_charpoly,
 )
+from .numtheory import WorkBudgetError
 from .polys import (
     IntPoly,
     Poly,

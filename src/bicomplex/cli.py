@@ -7,7 +7,8 @@ use ``X`` with explicit ``*`` and ``^``, e.g. ``X^3 - 2*X^2 + 4*X - 8``.
 
 Exit codes: 0 on success, 1 on usage errors (bad syntax, unknown flags or
 descriptors), 2 on domain errors (null cone, non-terminating expansions,
-degenerate ideals, factoring a unit).
+degenerate ideals, factoring a unit, an integer that rho cannot split within
+``numtheory.RHO_STEP_LIMIT`` steps).
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .census import (
 )
 from .element import BicomplexElement, NullConeError, format_cartesian, idempotent_literal
 from .minpoly import minpoly_bicomplex, quartic_charpoly
+from .numtheory import WorkBudgetError
 from .polys import IntPoly, Poly, content_primitive, cyclotomic, format_poly
 from .radix import (
     DigitString,
@@ -59,7 +61,7 @@ from .scalars import GaussianRational
 from .zeta import DegenerateIdealError, coefficient_table, zeta_partial
 
 DOMAIN_ERRORS = (NullConeError, NonTerminationError, DegenerateIdealError,
-                 UnitInputError, RootConvergenceError)
+                 UnitInputError, RootConvergenceError, WorkBudgetError)
 
 
 class ParseError(ValueError):

@@ -1,19 +1,84 @@
 """Rational integer primality and factorization at desk scale.
 
-Trial division up to a small bound, then Brent's cycle variant of Pollard's
-rho with deterministic Miller-Rabin primality checks (the chosen witness set
-is exact for every 64-bit and somewhat larger input, far beyond what the
-rest of the package asks for).
+Trial division by the odd numbers below 1000, then ``is_prime``, then
+Brent's cycle variant of Pollard's rho within ``RHO_STEP_LIMIT`` steps.
+``is_prime`` is a proof below psi_12 = 318665857834031151167461, the least
+strong pseudoprime to the bases 2..37 (Sorenson & Webster, Math. Comp. 2017);
+from psi_12 on it is the Baillie-PSW "probable prime" test (Baillie &
+Wagstaff, Math. Comp. 1980), which no known composite passes.
+
+>>> factorint(4999)
+{4999: 1}
+>>> is_prime(318665857834031151167461)
+False
+>>> sorted(factorint(318665857834031151167461))
+[399165290221, 798330580441]
 """
 from __future__ import annotations
 
 import math
 
-_TRIAL_BOUND = 10 ** 6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+# Rho splits psi_13 in 1.8e6 steps; 2^128 + 1, whose least prime factor is
+# near 6e16, would need about 2.4e8.
+RHO_STEP_LIMIT = 3 << 20
+
+
+class WorkBudgetError(ArithmeticError):
+    """Factoring an integer needs more than ``RHO_STEP_LIMIT`` rho steps."""
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Strong test of odd n to base a, where n - 1 = d * 2^s with d odd."""
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            sign = -sign if n % 8 in (3, 5) else sign
+        sign = -sign if a % 4 == 3 and n % 4 == 3 else sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test, with Selfridge's P and Q, of an odd non-square n >= psi_12."""
+    D = 5  # the first of 5, -7, 9, -11, ... with (D/n) = -1; P = 1
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = 2 - D if D < 0 else -D - 2
+    Q, d, s, half = (1 - D) // 4, n + 1, 0, (n + 1) // 2
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k, Q^k at k = 1, doubling to k = d
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):  # V at d * 2^r for r < s
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: proven below psi_12, Baillie-PSW "probable" from psi_12 on."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -21,24 +86,16 @@ def is_prime(n: int) -> bool:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        d, s = d // 2, s + 1
+    if n < _PSI_12:
+        return all(_strong_probable_prime(n, a, d, s) for a in _MR_WITNESSES)
+    return (_strong_probable_prime(n, 2, d, s) and math.isqrt(n) ** 2 != n
+            and _strong_lucas_probable_prime(n))
 
 
 def _brent_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
+    """A proper divisor of the odd composite n, within ``RHO_STEP_LIMIT`` steps."""
+    steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = 0
@@ -46,12 +103,17 @@ def _brent_rho(n: int) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            steps += r
             k = 0
             while k < r and g == 1:
+                if steps > RHO_STEP_LIMIT:
+                    raise WorkBudgetError(f"factoring {n} needs more than {RHO_STEP_LIMIT} rho steps")
                 ys = y
-                for _ in range(min(m, r - k)):
+                batch = min(m, r - k)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
+                steps += batch
                 k += m
                 g = math.gcd(q, n)
             r *= 2
@@ -66,7 +128,10 @@ def _brent_rho(n: int) -> int:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as ``{prime: exponent}``; 0 and +-1 give {}."""
+    """Prime factorization of |n| as ``{prime: exponent}``; 0 and +-1 give {}.
+
+    Raises ``WorkBudgetError`` when rho runs out of steps on a composite.
+    """
     n = abs(n)
     if n <= 1:
         return {}
@@ -76,25 +141,23 @@ def factorint(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while f * f <= n and f < _TRIAL_BOUND:
+    while f < 1000 and f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
-        f += wheel[w]
-        w = (w + 1) % len(wheel)
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            d = _brent_rho(m)
-            stack.extend((d, m // d))
+        f += 2
+    if f * f > n:  # no factor up to sqrt(n) is left, so n is 1 or a prime
+        if n > 1:
+            out[n] = 1
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _brent_rho(m)
+        stack.extend((d, m // d))
     return out
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bicomplex
 from bicomplex.cli import (
     ParseError,
     idempotent_literal,
@@ -17,6 +22,7 @@ from bicomplex.cli import (
     parse_table_key,
 )
 from bicomplex.element import BicomplexElement, format_cartesian
+from bicomplex.numtheory import RHO_STEP_LIMIT
 from bicomplex.polys import Poly, format_poly
 from bicomplex.radix import GaussBase, HypGaussBase, HypSplitBase
 from bicomplex.rings import ExtensionDescriptor, QB, QH, QuadraticField, Q_FIELD
@@ -231,6 +237,38 @@ def test_cli_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys, "factor", "[2, 3]", "--L", "custom:Q(sqrt:2),Q")
     assert code == 1
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to 2..37
+
+
+def test_cli_factor_splits_a_strong_pseudoprime(capsys):
+    code, out, _ = run(capsys, "factor", f"[{PSI_12}, 1]", "--L", "Qh")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == ["unit [1, 1]", "prime [399165290221, 1] ^ 1", "prime [798330580441, 1] ^ 1"]
+    product = parse_element(lines[0].removeprefix("unit "))
+    for line in lines[1:]:
+        prime, exponent = line.removeprefix("prime ").split(" ^ ")
+        product = product * parse_element(prime) ** int(exponent)
+    assert product == parse_element(f"[{PSI_12}, 1]")
+
+
+def test_cli_primes_profile_rejects_a_strong_pseudoprime(capsys):
+    code, out, err = run(capsys, "primes-profile", str(PSI_12), "--L", "QB")
+    assert (code, out) == (1, "") and f"{PSI_12} is not prime" in err
+
+
+def test_cli_factor_exits_2_at_the_rho_step_limit():
+    # 2^128 + 1 = 59649589127497217 * 5704689200685129054721: rho would need
+    # about 2.4e8 steps.  A subprocess with a timeout fails this test, instead
+    # of stalling the run, if the limit stops working.
+    src = str(Path(bicomplex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "bicomplex.cli", "factor", f"[{2 ** 128 + 1}, 1]", "--L", "Qh"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(RHO_STEP_LIMIT) in done.stderr and "rho steps" in done.stderr
 
 
 def test_cli_json_round_trips_through_parser(capsys):

@@ -13,6 +13,7 @@ from bicomplex.gaussian import (
     gaussian_norm,
     is_gaussian_prime,
 )
+from bicomplex import numtheory
 from bicomplex.numtheory import divisors, factorint, is_prime, sqrt_minus_one_mod
 from bicomplex.scalars import GaussianRational
 
@@ -122,7 +123,7 @@ def test_integer_primality_helpers():
     assert not is_prime(561)  # Carmichael
     assert factorint(2 ** 6 * 3 ** 4 * 1009) == {2: 6, 3: 4, 1009: 1}
     assert factorint(1) == {}
-    big = 1000003 * 1000033  # both factors above the trial bound
+    big = 1000003 * 1000033  # both factors above trial division's 1000, so rho splits it
     assert factorint(big) == {1000003: 1, 1000033: 1}
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     for p in (5, 13, 10 ** 6 + 33):
@@ -130,6 +131,57 @@ def test_integer_primality_helpers():
         assert (t * t + 1) % p == 0
     with pytest.raises(ValueError):
         sqrt_minus_one_mod(7)
+
+
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to the bases 2..41
+
+
+def test_is_prime_matches_sympy_on_40_to_90_bit_odd_numbers():
+    isprime = pytest.importorskip("sympy").isprime
+    rng = random.Random(71)
+    for bits in range(40, 91):
+        for _ in range(40):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            assert is_prime(n) == isprime(n), n
+
+
+def test_pseudoprimes_are_composite():
+    carmichael = (561, 41041, 825265, 321197185)
+    # least strong pseudoprimes to the first k prime bases, for k = 1..11
+    strong = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051)
+    for n in carmichael + strong + (PSI_12, PSI_13):
+        assert not is_prime(n), n
+
+
+def test_factorint_splits_psi_12_and_psi_13():
+    assert factorint(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert factorint(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+    assert all(is_prime(p) for p in (399165290221, 798330580441, 1287836182261, 2575672364521))
+
+
+def test_factorint_prime_powers_go_through_rho(monkeypatch):
+    calls, brent_rho = [], numtheory._brent_rho
+
+    def spy(n):
+        calls.append(n)
+        return brent_rho(n)
+
+    monkeypatch.setattr(numtheory, "_brent_rho", spy)
+    p = 1000003
+    assert factorint(p ** 2) == {p: 2}
+    assert factorint(p ** 3) == {p: 3}
+    assert factorint(7 * p ** 3) == {7: 1, p: 3}
+    assert calls[0] == p ** 2 and p ** 3 in calls
+
+
+def test_factorint_stops_at_the_rho_step_limit(monkeypatch):
+    monkeypatch.setattr(numtheory, "RHO_STEP_LIMIT", 10000)  # psi_12 needs about 450000
+    with pytest.raises(numtheory.WorkBudgetError) as err:
+        factorint(PSI_12)
+    assert isinstance(err.value, ArithmeticError)
+    assert "10000" in str(err.value) and str(PSI_12) in str(err.value)
 
 
 # -- the integer kernels on drawn Gaussian integers -----------------------------
@@ -144,8 +196,8 @@ def gaussians(bits):
 
 
 # Inputs to factor: a product of small factors (repeated primes, exponents
-# above 1) or one element with parts up to 20 bits, whose norm of at most 41
-# bits keeps factorint's trial division short.
+# above 1) or one element with parts up to 20 bits, whose norm has at most 41
+# bits.
 factorable = st.one_of(
     st.lists(gaussians(6).filter(bool), min_size=1, max_size=5).map(prod),
     gaussians(20).filter(bool))
