@@ -8,11 +8,14 @@ converts the result back once.  Canonical associates sit in the first
 quadrant (re > 0, im >= 0), so every nonzero element is unit * canonical
 with a unique unit among 1, i, -1, -i.
 
-Factoring follows the norm: an ordinary prime p contributes 1+i (for p = 2),
-stays prime (p = 3 mod 4), or splits into the two conjugate primes gcd(p,
-t+i) for a square root t of -1 mod p (p = 1 mod 4).
+Factoring follows the rational primes of the content and of the norm of the
+primitive part: an ordinary prime p contributes 1+i (for p = 2), stays prime
+(p = 3 mod 4), or splits into the two conjugate primes gcd(p, t+i) for a
+square root t of -1 mod p (p = 1 mod 4).
 """
 from __future__ import annotations
+
+import math
 
 from .numtheory import factorint, is_prime, sqrt_minus_one_mod
 from .scalars import GaussianRational, QuadRational
@@ -115,8 +118,12 @@ def factor_gaussian(g: QuadRational) -> tuple[QuadRational, tuple[tuple[QuadRati
     z = _pair(g)
     if z == (0, 0):
         raise ValueError("cannot factor zero")
+    # The content c = gcd(re, im) and the norm of the primitive part z/c are
+    # factored apart: for z = p a rational prime the norm p^2 would leave
+    # rho to split a square, while factoring c = p is a primality test.
+    c = math.gcd(*z)
     candidates: list[Pair] = []
-    for p in sorted(factorint(z[0] ** 2 + z[1] ** 2)):
+    for p in sorted(factorint(c).keys() | factorint((z[0] // c) ** 2 + (z[1] // c) ** 2).keys()):
         if p == 2:
             candidates.append((1, 1))
         elif p % 4 == 3:

@@ -161,16 +161,6 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("divisors defined for n >= 1")
-    out = [1]
-    for p, e in factorint(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def sqrt_minus_one_mod(p: int) -> int:
     """A square root of -1 modulo a prime p = 1 (mod 4).
 

@@ -7,19 +7,25 @@ principal), normalized and classified by the component ring operations of
 generated by the idempotents are prime but carry no norm and are excluded
 from the zeta index set.
 
-Ideal counts: the rationals have one ideal per norm; the Gaussian integers
-have r(n)/4 ideals of norm n with r the sum-of-two-squares count given by
-Jacobi's divisor formula.  The table of any extension whose components are
-Q or Q(i) is the Dirichlet convolution of its two component tables.
+Ideal counts are multiplicative: the rationals have one ideal per norm, and
+the Gaussian integers have r(n)/4 ideals of norm n, with r the
+sum-of-two-squares count, whose factor at a prime p depends on how p splits
+in Z[i].  The table of any extension whose components are Q or Q(i) is the
+Dirichlet convolution of its two component tables, so its local factors are
+the Cauchy products of theirs.  :func:`coefficient_table` sieves with the
+local factors; :func:`dirichlet_convolve` is the independent oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, mul, truediv
 
 from .element import BicomplexElement
 from .gaussian import canonical_gaussian_associate
-from .numtheory import divisors
+from .numtheory import factorint
 from .rings import (
     ExtensionDescriptor,
     Field,
@@ -127,13 +133,48 @@ def is_prime_ideal(ideal: BicomplexIdeal) -> bool:
 
 # -- counting ------------------------------------------------------------------
 
+def _gaussian_local_factor(r: int, e: int) -> list[int]:
+    """Ideals of Z[i] of norm 1, p, ..., p^e for a prime p with p % 4 == r:
+    one each when 2 ramifies, k+1 of norm p^k when p = 1 (mod 4) splits, and
+    one of each even exponent when p = 3 (mod 4) stays inert."""
+    if r == 2:
+        return [1] * (e + 1)
+    if r == 1:
+        return list(range(1, e + 2))
+    return [(k + 1) % 2 for k in range(e + 1)]
+
+
+def _local_factor(field_or_extension):
+    """The function (r, e) -> [a(1), a(p), ..., a(p^e)] of the ideal counts
+    at a prime p with p % 4 == r.
+
+    For Q, Q(i) and their extensions the counts at p depend on p only
+    through p mod 4 (how p splits in Z[i]).  An ideal of an extension is a
+    pair of component ideals, so its local factor is the Cauchy product of
+    the component factors.
+    """
+    k = field_or_extension
+    if isinstance(k, ExtensionDescriptor):
+        local1, local2 = _local_factor(k.K1), _local_factor(k.K2)
+
+        def local(r: int, e: int) -> list[int]:
+            f1, f2 = local1(r, e), local2(r, e)
+            return [sum(f1[j] * f2[i - j] for j in range(i + 1)) for i in range(e + 1)]
+
+        return local
+    if isinstance(k, RationalField):
+        return lambda r, e: [1] * (e + 1)
+    if k == GAUSSIAN_FIELD:
+        return _gaussian_local_factor
+    raise UnsupportedRingError(f"no coefficient table for {k}")
+
+
 def jacobi_r(n: int) -> int:
-    """Number of Gaussian integers of norm n: four times the difference
-    between the divisor counts in classes 1 and 3 mod 4."""
+    """Number of Gaussian integers of norm n: four times the number of
+    ideals of Z[i] of norm n, a product of local factors over n's primes."""
     if n < 1:
         raise ValueError("jacobi_r needs n >= 1")
-    residues = [d % 4 for d in divisors(n)]
-    return 4 * (residues.count(1) - residues.count(3))
+    return 4 * math.prod(_gaussian_local_factor(p % 4, e)[e] for p, e in factorint(n).items())
 
 
 @dataclass(frozen=True)
@@ -159,7 +200,12 @@ class CoefficientTable:
 
 
 def dirichlet_convolve(f: CoefficientTable, g: CoefficientTable) -> CoefficientTable:
-    """(f*g)(n) = sum over divisors d of n of f(d) g(n/d), exactly."""
+    """(f*g)(n) = sum over divisors d of n of f(d) g(n/d), exactly.
+
+    The ideal-count table of an extension is the convolution of its
+    component tables; the tests use this as the oracle for
+    :func:`coefficient_table`.
+    """
     if f.N != g.N:
         raise ValueError(f"length mismatch: {f.N} != {g.N}")
     n_max, gv = f.N, g.values
@@ -172,32 +218,42 @@ def dirichlet_convolve(f: CoefficientTable, g: CoefficientTable) -> CoefficientT
     return CoefficientTable(tuple(out[1:]))
 
 
-def _r_table(n_max: int) -> tuple[int, ...]:
-    """r(n)/4 for n = 1..n_max: the number of divisors of n that are 1 mod 4
-    minus the number that are 3 mod 4."""
-    acc = [0] * (n_max + 1)
-    for d in range(1, n_max + 1, 2):
-        chi = 1 if d % 4 == 1 else -1
-        for m in range(d, n_max + 1, d):
-            acc[m] += chi
-    return tuple(acc[1:])
+def _prime_flags(n_max: int) -> bytearray:
+    """flags[n] = 1 exactly when n <= n_max is prime (Eratosthenes)."""
+    flags = bytearray([1]) * (n_max + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n_max) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n_max + 1, p)))
+    return flags
 
 
 def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
     """Ideal counts a(1..N) for Q, Q(i) and any extension whose components
-    are among them: the Dirichlet convolution of the component tables."""
+    are among them.
+
+    The counts are multiplicative, so one sieve builds the table from the
+    local factors a(p^k): each prime p multiplies the entries of its
+    multiples by a(p^k) for the exact power p^k dividing them.
+    """
     if n_max < 1:
         raise ValueError("table length must be >= 1")
-    k = field_or_extension
-    if isinstance(k, ExtensionDescriptor):
-        table1 = coefficient_table(k.K1, n_max)
-        table2 = table1 if k.K2 == k.K1 else coefficient_table(k.K2, n_max)
-        return dirichlet_convolve(table1, table2)
-    if isinstance(k, RationalField):
-        return CoefficientTable((1,) * n_max)
-    if k == GAUSSIAN_FIELD:
-        return CoefficientTable(_r_table(n_max))
-    raise UnsupportedRingError(f"no coefficient table for {k}")
+    local, e_max = _local_factor(field_or_extension), n_max.bit_length()
+    # 2^e_max > n_max bounds every exponent; classes whose local factor is 1
+    # leave the table as it is
+    by_class = {r: a for r in (1, 2, 3) if (a := local(r, e_max)) != [1] * (e_max + 1)}
+    out = [1] * (n_max + 1)
+    for p in compress(range(n_max + 1), _prime_flags(n_max)):
+        if (a := by_class.get(p % 4)) is None:
+            continue
+        # factors[t] goes to the index (t+1)*p; p^k divides it when p^(k-1) divides t+1
+        factors = [a[1]] * (n_max // p)
+        k, q = 2, p
+        while q * p <= n_max:
+            factors[q - 1::q] = [a[k]] * (n_max // (q * p))
+            k, q = k + 1, q * p
+        out[p::p] = map(mul, out[p::p], factors)
+    return CoefficientTable(tuple(out[1:]))
 
 
 def zeta_partial(field_or_extension, s, n_max: int) -> float:
@@ -206,17 +262,14 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     Coefficient identities are exact and tested separately; this is only a
     guarded numeric evaluation of the partial sum.  The terms are added left
     to right by plain float addition, so the value does not depend on the
-    Python version (``sum`` compensates float sums from 3.12 on).
+    Python version (``sum`` compensates float sums from 3.12 on).  Terms
+    with a(n) = 0 add 0.0, which leaves the sum unchanged.
     """
     s = float(s)
     if not s > 1:
         raise ValueError("zeta partial sums need s > 1")
     table = coefficient_table(field_or_extension, n_max)
-    total = 0
-    for n, a in enumerate(table.values, start=1):
-        if a:
-            total += a / n ** s
-    return total
+    return reduce(add, map(truediv, table.values, map(pow, range(1, n_max + 1), repeat(s))))
 
 
 def brute_force_ideal_count(field: Field, n: int) -> int:

@@ -189,6 +189,15 @@ def test_cli_primes_profile(capsys):
     assert "semiprime: yes" in out
 
 
+def test_cli_primes_profile_of_twenty_digit_primes(capsys):
+    code, out, _ = run(capsys, "primes-profile", "10000000000000000051", "--L", "QB")
+    assert code == 0  # 3 mod 4: inert in both components
+    assert "2 prime factors" in out and "semiprime: yes" in out
+    code, out, _ = run(capsys, "primes-profile", "10000000000000000097", "--L", "QB")
+    assert code == 0  # 1 mod 4: splits in both components
+    assert "4 prime factors" in out and "semiprime: no" in out
+
+
 def test_cli_units(capsys):
     code, out, _ = run(capsys, "units", "--L", "QB", "--json")
     payload = json.loads(out)

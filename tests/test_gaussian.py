@@ -14,7 +14,7 @@ from bicomplex.gaussian import (
     is_gaussian_prime,
 )
 from bicomplex import numtheory
-from bicomplex.numtheory import divisors, factorint, is_prime, sqrt_minus_one_mod
+from bicomplex.numtheory import factorint, is_prime, sqrt_minus_one_mod
 from bicomplex.scalars import GaussianRational
 
 
@@ -56,6 +56,17 @@ def test_factor_units_and_zero():
         factor_gaussian(gaussian_int(0))
     with pytest.raises(ValueError):
         factor_gaussian(GaussianRational(1, 2) / GaussianRational(2, 0))
+
+
+def test_factor_large_rational_primes_by_content():
+    """The content p is factored, not the norm p^2, which rho would split
+    in about sqrt(p) steps."""
+    inert, split = 10000000000000000051, 10000000000000000097  # 3 and 1 mod 4
+    assert factor_gaussian(gaussian_int(inert)) == (gaussian_int(1), ((gaussian_int(inert), 1),))
+    unit, factors = factor_gaussian(gaussian_int(0, -2 * split))
+    assert recompose(unit, factors) == gaussian_int(0, -2 * split)
+    assert [gaussian_norm(p) for p, _ in factors] == [2, split, split]
+    assert [e for _, e in factors] == [2, 1, 1]
 
 
 def test_factor_random_recomposition():
@@ -125,7 +136,6 @@ def test_integer_primality_helpers():
     assert factorint(1) == {}
     big = 1000003 * 1000033  # both factors above trial division's 1000, so rho splits it
     assert factorint(big) == {1000003: 1, 1000033: 1}
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
     for p in (5, 13, 10 ** 6 + 33):
         t = sqrt_minus_one_mod(p)
         assert (t * t + 1) % p == 0

@@ -140,6 +140,57 @@ def test_coefficient_table_of_c2_extension():
     assert coefficient_table(ExtensionDescriptor(GAUSSIAN_FIELD, Q_FIELD), 200) == table
 
 
+# -- the sieve against the Dirichlet convolution ---------------------------------
+
+SIEVE_KEYS = (Q_FIELD, GAUSSIAN_FIELD, QH, QB, L_C2, ExtensionDescriptor(GAUSSIAN_FIELD, Q_FIELD))
+SIEVE_LENGTHS = (1, 2, 3, 4, 8, 9, 24, 25, 26, 121, 1000, 4096, 10007)
+
+
+def _oracle_table(key, n_max):
+    """Q: all ones; Q(i): divisors 1 mod 4 minus divisors 3 mod 4, by a
+    double loop; an extension: the convolution of its component oracles."""
+    if isinstance(key, ExtensionDescriptor):
+        return dirichlet_convolve(_oracle_table(key.K1, n_max), _oracle_table(key.K2, n_max))
+    if key == Q_FIELD:
+        return CoefficientTable((1,) * n_max)
+    acc = [0] * (n_max + 1)
+    for d in range(1, n_max + 1, 2):
+        for m in range(d, n_max + 1, d):
+            acc[m] += 1 if d % 4 == 1 else -1
+    return CoefficientTable(tuple(acc[1:]))
+
+
+@pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
+def test_coefficient_table_equals_the_convolution_oracle(key):
+    for n_max in SIEVE_LENGTHS:
+        assert coefficient_table(key, n_max) == _oracle_table(key, n_max), n_max
+
+
+@pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
+def test_coefficient_table_is_multiplicative(key):
+    limit = 10 ** 4
+    table = coefficient_table(key, limit)
+    rng = random.Random(84)
+    pairs = 0
+    while pairs < 300:
+        m = rng.randint(1, 200)
+        n = rng.randint(1, limit // m)
+        if math.gcd(m, n) == 1:
+            assert table.a(m * n) == table.a(m) * table.a(n), (m, n)
+            pairs += 1
+
+
+@pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
+def test_zeta_partial_is_the_plain_left_to_right_sum(key):
+    n_max = 3000
+    values = coefficient_table(key, n_max).values
+    for s in (2, 3, Fraction(5, 2)):
+        total = 0.0
+        for n, a in enumerate(values, start=1):
+            total += a / n ** float(s)
+        assert zeta_partial(key, s, n_max).hex() == total.hex()
+
+
 def test_coefficient_table_errors():
     with pytest.raises(UnsupportedRingError):
         coefficient_table(QuadraticField(-3), 10)
@@ -147,6 +198,9 @@ def test_coefficient_table_errors():
               ExtensionDescriptor(GAUSSIAN_FIELD, QuadraticField(-3))):
         with pytest.raises(UnsupportedRingError):
             coefficient_table(L, 10)
+    for n_max in (1, 2):  # below the first prime power that needs a local factor
+        with pytest.raises(UnsupportedRingError):
+            coefficient_table(QuadraticField(-3), n_max)
     with pytest.raises(ValueError):
         coefficient_table(Q_FIELD, 0)
 
