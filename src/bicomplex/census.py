@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement
-from .polys import IntPoly, Poly, cyclotomic, is_squarefree, sturm_real_root_count
+from .minpoly import conjugate_pair_poly
+from .numtheory import totient
+from .polys import IntPoly, Poly, is_squarefree, sturm_real_root_count
 from .scalars import GaussianRational, QuadRational
 
 
@@ -76,10 +78,10 @@ def census(p: IntPoly) -> Census:
 
 
 def census_cyclotomic(n: int) -> Census:
-    """Census of the n-th cyclotomic polynomial (n >= 2)."""
+    """Census of Phi_n (n >= 2): its phi(n) roots are roots of unity, only -1 real."""
     if n < 2:
         raise ValueError("cyclotomic census needs n >= 2")
-    return census(cyclotomic(n))
+    return Census(totient(n), 1 if n == 2 else 0)
 
 
 LOCUS_NAMES = ("real", "plane_i", "plane_j", "plane_k", "generic")
@@ -152,12 +154,6 @@ class LocusFactors:
         return self.real * self.plane_i * self.plane_j * self.plane_k * self.generic
 
 
-def _split_roots(roots: tuple[QuadRational, ...]):
-    real = sorted((root.re for root in roots if root.im == 0))
-    pairs = sorted(((root.re, root.im) for root in roots if root.im > 0))
-    return real, pairs
-
-
 def locus_factors(roots, lead: int = 1) -> LocusFactors:
     """Exact locus factor polynomials from a conjugation-closed root set.
 
@@ -170,15 +166,12 @@ def locus_factors(roots, lead: int = 1) -> LocusFactors:
     _check_root_set(roots)
     if lead <= 0:
         raise ValueError("leading coefficient must be positive")
-    real, pairs = _split_roots(roots)
+    real = [root.re for root in roots if root.im == 0]
+    pairs = [root for root in roots if root.im > 0]
     r, s = len(real), len(pairs)
 
-    real_f = Poly.one()
-    for alpha in real:
-        real_f = real_f * Poly.of(-alpha, 1)
-    pair_f = Poly.one()
-    for re, im in pairs:
-        pair_f = pair_f * Poly.of(re * re + im * im, -2 * re, 1)
+    real_f = math.prod((Poly.of(-alpha, 1) for alpha in real), start=Poly.one())
+    pair_f = math.prod(map(conjugate_pair_poly, pairs), start=Poly.one())
 
     plane_j = Poly.one() if r == 0 else real_f ** (r - 1)
     if s == 0:
@@ -227,20 +220,19 @@ def low_degree_gaussian_roots(p: IntPoly) -> list[QuadRational] | None:
         raise ValueError("only degrees 1 and 2 are supported")
     c0, c1, c2 = (Fraction(c) for c in p.coeffs)
     disc = c1 * c1 - 4 * c2 * c0
-    if disc >= 0:
-        root = sqrt_rational(disc)
-        if root is None:
-            return None
-        return [GaussianRational((-c1 + root) / (2 * c2), 0),
-                GaussianRational((-c1 - root) / (2 * c2), 0)]
-    root = sqrt_rational(-disc)
+    root = sqrt_rational(abs(disc))
     if root is None:
         return None
-    return [GaussianRational(-c1 / (2 * c2), root / (2 * c2)),
-            GaussianRational(-c1 / (2 * c2), -root / (2 * c2))]
+    mid, half = -c1 / (2 * c2), root / (2 * c2)
+    if disc >= 0:
+        return [GaussianRational(mid + half), GaussianRational(mid - half)]
+    return [GaussianRational(mid, half), GaussianRational(mid, -half)]
 
 
-def numeric_roots(p: IntPoly, tol: float = 1e-10, max_iter: int = 500) -> list[complex]:
+MAX_ITERATIONS = 500
+
+
+def numeric_roots(p: IntPoly, tol: float = 1e-10) -> list[complex]:
     """Approximate complex roots by simultaneous (Durand-Kerner) iteration.
 
     A floating cross-check oracle only; exact computations never consume its
@@ -261,7 +253,7 @@ def numeric_roots(p: IntPoly, tol: float = 1e-10, max_iter: int = 500) -> list[c
         return acc
 
     guesses = [complex(0.4, 0.9) ** k for k in range(1, n + 1)]
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITERATIONS):
         biggest = 0.0
         updated = []
         for i, z in enumerate(guesses):
@@ -279,7 +271,7 @@ def numeric_roots(p: IntPoly, tol: float = 1e-10, max_iter: int = 500) -> list[c
         if biggest < tol:
             _certify_roots(guesses, value, tol)
             return sorted(guesses, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    raise RootConvergenceError(f"no convergence after {max_iter} iterations")
+    raise RootConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
 
 
 def _certify_roots(roots: list[complex], value, tol: float):
@@ -293,6 +285,6 @@ def _certify_roots(roots: list[complex], value, tol: float):
                 raise RootConvergenceError(f"roots {z} and {w} did not separate")
 
 
-def numeric_real_count(p: IntPoly, realness_tol: float = 1e-8) -> int:
-    """Number of approximately real roots reported by the numeric finder."""
-    return sum(1 for z in numeric_roots(p) if abs(z.imag) < realness_tol)
+def numeric_real_count(p: IntPoly) -> int:
+    """Number of roots reported by the numeric finder with |Im| < 1e-8."""
+    return sum(1 for z in numeric_roots(p) if abs(z.imag) < 1e-8)

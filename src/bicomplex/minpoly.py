@@ -31,15 +31,22 @@ class MinPolyResult:
     component_polys: tuple[IntPoly, IntPoly]
 
 
-def minpoly_component(scalar) -> IntPoly:
-    """Minimal polynomial of a single component scalar.
+def conjugate_pair_poly(c) -> Poly:
+    """(X - c)(X - c') for a component scalar c and its field conjugate c':
+    X^2 - 2a*X + (a^2 - D*b^2) for a + b*sqrt(D) (D = -1 for the Gaussian
+    rationals), and (X - c)^2 for a rational c."""
+    if isinstance(c, QuadRational) and c.b:
+        return Poly.of(c.field_norm(), -2 * c.a, 1)
+    c = as_fraction(c)
+    return Poly.of(c * c, -2 * c, 1)
 
-    Degree 1 for rationals; for a + b*sqrt(D) with b != 0 (D = -1 for the
-    Gaussian rationals), the primitive integer form of X^2 - 2aX + (a^2 - D b^2).
-    """
-    if not isinstance(scalar, QuadRational) or not scalar.b:
-        return content_primitive(Poly.of(-as_fraction(scalar), 1))[1]
-    return content_primitive(Poly.of(scalar.field_norm(), -2 * scalar.a, 1))[1]
+
+def minpoly_component(scalar) -> IntPoly:
+    """Minimal polynomial of a component scalar: the primitive part of X - c
+    for a rational c, else of :func:`conjugate_pair_poly`."""
+    if isinstance(scalar, QuadRational) and scalar.b:
+        return content_primitive(conjugate_pair_poly(scalar))[1]
+    return content_primitive(Poly.of(-as_fraction(scalar), 1))[1]
 
 
 def minpoly_bicomplex(element: BicomplexElement) -> MinPolyResult:
@@ -79,9 +86,10 @@ def quartic_charpoly(element: BicomplexElement) -> tuple[Poly, QuarticCoefficien
 
         P(X) = X^4 - four_re*X^3 + pair_sum*X^2 - triple_sum*X + norm
 
-    annihilates the element, and the minimal polynomial divides it.  For an
-    element of the hyperbolic plane or of either complex plane, P is the
-    square of the familiar quadratic X^2 - 2*Re*X + z*conj(z).
+    annihilates the element, and the minimal polynomial divides it.  P is the
+    product q(c1)*q(c2) of the component quadratics q = conjugate_pair_poly,
+    so for an element of the hyperbolic plane or of either complex plane it
+    is the square of the familiar quadratic X^2 - 2*Re*X + z*conj(z).
     """
     if not element.has_cartesian_view:
         raise ValueError(f"{element!r} has no Cartesian view")

@@ -161,6 +161,12 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+def totient(n: int) -> int:
+    """Euler's phi of n >= 1, from the prime factorization."""
+    primes = factorint(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
+
+
 def sqrt_minus_one_mod(p: int) -> int:
     """A square root of -1 modulo a prime p = 1 (mod 4).
 

@@ -9,10 +9,11 @@ this package (primitive, positive leading coefficient).
 The zero polynomial is the empty tuple; its degree is undefined and the
 operations that need a degree reject it.
 
-The gcd, the Sturm chain and the cyclotomic polynomials work on integer
-coefficient tuples with one sign-preserving pseudo-remainder kernel.  The
-last entry of the Sturm chain is gcd(p, p'), so one chain both counts the
-real roots of p and decides whether p is squarefree.
+Products are one integer convolution over common denominators.  The gcd,
+the Sturm chain and the cyclotomic polynomials work on integer coefficient
+tuples with one sign-preserving pseudo-remainder kernel.  The last entry of
+the Sturm chain is gcd(p, p'), so one chain both counts the real roots of p
+and decides whether p is squarefree.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numtheory import factorint
+from .numtheory import factorint, totient
 from .scalars import format_terms, power
 
 
@@ -30,6 +31,22 @@ def _trim(coeffs):
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return tuple(coeffs[:end])
+
+
+def _convolve(a, b) -> list[int]:
+    """Coefficients of the product of two nonzero integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _cleared(coeffs) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of nonzero rationals, and L times each."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -45,7 +62,7 @@ class Poly:
         >>> Poly.of(-1, 0, 1)
         Poly('X^2 - 1')
         """
-        return Poly(_trim(tuple(Fraction(c) for c in coeffs)))
+        return Poly(_trim([Fraction(c) for c in coeffs]))
 
     @staticmethod
     def zero() -> Poly:
@@ -75,8 +92,7 @@ class Poly:
                            itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))]))
 
     def __sub__(self, other: Poly) -> Poly:
-        return Poly(_trim([a - b for a, b in
-                           itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))]))
+        return self + -other
 
     def __neg__(self) -> Poly:
         return Poly(tuple(-a for a in self.coeffs))
@@ -88,12 +104,10 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(_trim(out))
+        (den_a, a), (den_b, b) = _cleared(self.coeffs), _cleared(other.coeffs)
+        den = den_a * den_b
+        # From a list: CPython parks each tuple(generator) on a free list.
+        return Poly(tuple([Fraction(c, den) for c in _convolve(a, b)]))
 
     __rmul__ = __mul__
 
@@ -178,11 +192,7 @@ class IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         # Gauss's lemma: a product of primitive polynomials is primitive.
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return IntPoly(tuple(_convolve(self.coeffs, other.coeffs)))
 
 
 def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
@@ -197,12 +207,11 @@ def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no content decomposition")
-    denom_lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom_lcm) for c in p.coeffs]
+    den, ints = _cleared(p.coeffs)
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
-    return Fraction(g, denom_lcm), IntPoly(tuple(c // g for c in ints))
+    return Fraction(g, den), IntPoly(tuple(c // g for c in ints))
 
 
 def _primitive(a) -> tuple[int, ...]:
@@ -299,8 +308,7 @@ def cyclotomic(n: int) -> IntPoly:
         raise ValueError("cyclotomic index must be >= 1")
     if n == 1:
         return IntPoly((-1, 1))
-    primes = list(factorint(n))
-    top = n // math.prod(primes) * math.prod(p - 1 for p in primes)  # phi(n)
+    primes, top = list(factorint(n)), totient(n)
     c = [1] + [0] * top
     for size in range(len(primes) + 1):
         for subset in itertools.combinations(primes, size):
@@ -314,7 +322,7 @@ def cyclotomic(n: int) -> IntPoly:
     return IntPoly(tuple(c))
 
 
-def format_poly(p: Poly | IntPoly, var: str = "X") -> str:
-    """ASCII form with explicit '*' between coefficient and variable."""
-    units = ["", var] + [f"{var}^{k}" for k in range(2, len(p.coeffs))]
+def format_poly(p: Poly | IntPoly) -> str:
+    """ASCII form in X with explicit '*' between coefficient and variable."""
+    units = ["", "X"] + [f"X^{k}" for k in range(2, len(p.coeffs))]
     return format_terms(reversed(list(zip(p.coeffs, units))), " ")

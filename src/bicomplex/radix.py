@@ -4,18 +4,22 @@ Three base families, each with the digit set {0, ..., |N(q)|-1} forming a
 complete residue system modulo the base q:
 
 * split bases q = a*e1 + (a-1)*e2 (a <= -2) acting on all hyperbolic
-  integers m*e1 + n*e2, digit chosen by CRT on the residues of the two
-  components (mod a and mod a-1);
+  integers m*e1 + n*e2;
 * hyperbolic Gaussian bases q = a + j (a <= -2) acting on the subring
   Z[j] = {u + v*j}, whose index-2 lattice the expansions cannot leave;
 * Gaussian bases q = a + i or a - i (a <= -1) acting on the Gaussian
   integers u + v*i.
 
-Encoding repeatedly strips the unique digit d with q dividing x - d and
-replaces x by (x - d)/q.  The digit at each step is forced, so expansions
-are unique; inputs whose orbit never reaches zero exist for some bases and
-are reported via NonTerminationError (detected either by revisiting a state
-or by the 10^4-digit cap), never silently truncated.
+Each base is a 2x2 integer matrix M with determinant |N(q)|: multiplying by
+q maps the integer coordinates (u, v) of its ring to M*(u, v), and a digit d
+adds d times the base's digit vector.  A base's ``lattice`` is the triple
+(M row by row, digit vector, digit form).  Encoding repeatedly strips the
+unique digit d with q dividing x - d, which is the digit form applied to
+(u, v) modulo det M, and replaces x by (x - d)/q = adj(M)*(x - d)/det M.
+The digit at each step is forced, so expansions are unique; inputs whose
+orbit never reaches zero exist for some bases and are reported via
+NonTerminationError (detected either by revisiting a state or by the
+10^4-digit cap), never silently truncated.
 
 The Gaussian bases a +- i are canonical number systems (Katai and Szabo,
 1975): every Gaussian integer has a finite expansion.  The base -2+j is far
@@ -57,6 +61,11 @@ class HypSplitBase:
     def size(self) -> int:
         return self.a * self.a - self.a
 
+    @property
+    def lattice(self) -> tuple:
+        # d = m mod |a| and d = n mod |a-1|
+        return (self.a, 0, 0, self.a - 1), (1, 1), (1 - self.a, self.a)
+
     def __str__(self) -> str:
         return f"{self.a}*e1{self.a - 1:+}*e2"
 
@@ -80,6 +89,11 @@ class HypGaussBase:
     def size(self) -> int:
         return self.a * self.a - 1
 
+    @property
+    def lattice(self) -> tuple:
+        # (u + v*j)*(a + j) = (a*u + v) + (u + a*v)*j; a is self-inverse mod a^2-1
+        return (self.a, 1, 1, self.a), (1, 0), (1, -self.a)
+
     def __str__(self) -> str:
         return f"{self.a}+j"
 
@@ -100,6 +114,12 @@ class GaussBase:
     @property
     def size(self) -> int:
         return self.a * self.a + 1
+
+    @property
+    def lattice(self) -> tuple:
+        # (u + v*i)*(a + s*i) = (a*u - s*v) + (s*u + a*v)*i
+        a, s = self.a, self.sign
+        return (a, -s, s, a), (1, 0), (1, -a * s)
 
     def __str__(self) -> str:
         return f"{self.a}{'+' if self.sign > 0 else '-'}i"
@@ -160,33 +180,6 @@ def _from_state(state: tuple[int, int], base: RadixBase) -> BicomplexElement:
     return BicomplexElement.from_cartesian(u, 0, v, 0)
 
 
-def _digit_and_step(state: tuple[int, int], base: RadixBase) -> tuple[int, tuple[int, int]]:
-    """The forced digit of the state and the quotient (state - digit)/q."""
-    if isinstance(base, HypSplitBase):
-        m, n = state
-        q1, q2 = base.a, base.a - 1
-        d = _crt(m, abs(q1), n, abs(q2))
-        return d, ((m - d) // q1, (n - d) // q2)
-    a = base.a
-    u, v = state
-    if isinstance(base, HypGaussBase):
-        # q*conj(q) = a^2 - 1; conj(q) = a - j; a is self-inverse mod a^2-1.
-        size = base.size
-        d = (u - a * v) % size
-        return d, ((a * (u - d) - v) // size, (a * v - (u - d)) // size)
-    size = base.size
-    s = base.sign
-    d = (u - a * s * v) % size
-    return d, ((a * (u - d) + s * v) // size, (a * v - s * (u - d)) // size)
-
-
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    r1 %= m1
-    r2 %= m2
-    inv = pow(m1, -1, m2)
-    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)
-
-
 def encode(x: BicomplexElement, base: RadixBase) -> DigitString:
     """The unique finite expansion of x in the base, as digits lsd-first.
 
@@ -196,10 +189,15 @@ def encode(x: BicomplexElement, base: RadixBase) -> DigitString:
     state = _to_state(x, base)
     if state == (0, 0):
         return DigitString((0,), base)
+    (m11, m12, m21, m22), (w1, w2), (f1, f2) = base.lattice
+    size, (u, v) = base.size, state
     digits: list[int] = []
     seen = {state}
     for _ in range(ITERATION_CAP):
-        d, state = _digit_and_step(state, base)
+        d = (f1 * u + f2 * v) % size
+        u, v = u - d * w1, v - d * w2
+        u, v = (m22 * u - m12 * v) // size, (m11 * v - m21 * u) // size
+        state = u, v
         digits.append(d)
         if state == (0, 0):
             return DigitString(tuple(digits), base)
@@ -213,22 +211,8 @@ def encode(x: BicomplexElement, base: RadixBase) -> DigitString:
 
 def decode(s: DigitString) -> BicomplexElement:
     """Exact Horner evaluation of the digit string at its base."""
-    base = s.base
-    if isinstance(base, HypSplitBase):
-        q1, q2 = base.a, base.a - 1
-        m = n = 0
-        for d in reversed(s.digits):
-            m = m * q1 + d
-            n = n * q2 + d
-        return _from_state((m, n), base)
-    a = base.a
+    (m11, m12, m21, m22), (w1, w2), _ = s.base.lattice
     u = v = 0
-    if isinstance(base, HypGaussBase):
-        for d in reversed(s.digits):
-            # (u + v*j)*(a + j) = (a*u + v) + (u + a*v)*j
-            u, v = a * u + v + d, u + a * v
-        return _from_state((u, v), base)
-    sgn = base.sign
     for d in reversed(s.digits):
-        u, v = a * u - sgn * v + d, sgn * u + a * v
-    return _from_state((u, v), base)
+        u, v = m11 * u + m12 * v + d * w1, m21 * u + m22 * v + d * w2
+    return _from_state((u, v), s.base)

@@ -186,7 +186,7 @@ class CoefficientTable:
     def __post_init__(self):
         if not self.values or self.values[0] != 1:
             raise ValueError("a(1) must be 1")
-        if any(v < 0 for v in self.values):
+        if min(self.values) < 0:
             raise ValueError("counts must be nonnegative")
 
     @property

@@ -18,7 +18,7 @@ from bicomplex.census import (
     sqrt_rational,
 )
 from bicomplex.element import BicomplexElement
-from bicomplex.polys import IntPoly, Poly, content_primitive, is_squarefree
+from bicomplex.polys import IntPoly, Poly, content_primitive, cyclotomic, is_squarefree
 from bicomplex.scalars import GaussianRational
 
 
@@ -56,6 +56,8 @@ def test_census_cyclotomic():
     assert (c5.real_roots, c5.complex_pairs, c5.off_plane, c5.total) == (0, 2, 8, 16)
     for n in range(3, 20):
         assert census_cyclotomic(n).real_roots == 0
+    for n in range(2, 201):  # the closed form against the Sturm count
+        assert census_cyclotomic(n) == census(cyclotomic(n))
     with pytest.raises(ValueError):
         census_cyclotomic(1)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from bicomplex.element import BicomplexElement, J_UNIT
 from bicomplex.minpoly import (
+    conjugate_pair_poly,
     eval_at_bicomplex,
     minpoly_bicomplex,
     minpoly_component,
@@ -145,3 +146,25 @@ def test_quartic_random_properties():
             assert poly == mp.poly.to_poly().monic() ** (4 // mp.poly.degree)
         assert coeffs.four_re == 4 * w.to_cartesian()[0]
         assert coeffs.norm == w.norm()
+
+
+def test_quartic_is_product_of_component_quadratics():
+    rng = random.Random(46)
+
+    def rational():
+        return Fraction(rng.randrange(-30, 31), rng.randrange(1, 12))
+
+    kinds = (
+        lambda: BicomplexElement(rational(), rational()),
+        lambda: BicomplexElement(GaussianRational(rational(), rational()),
+                                 GaussianRational(rational(), rational())),
+        lambda: BicomplexElement(*rng.sample([rational(), GaussianRational(rational(), rational())], 2)),
+    )
+    for make in kinds:
+        for _ in range(500):
+            w = make()
+            product = conjugate_pair_poly(w.c1) * conjugate_pair_poly(w.c2)
+            e4, e3, e2, e1 = product.coeffs[:4]
+            poly, coeffs = quartic_charpoly(w)
+            assert poly == product
+            assert (coeffs.four_re, coeffs.pair_sum, coeffs.triple_sum, coeffs.norm) == (-e1, e2, -e3, e4)

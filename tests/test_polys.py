@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bicomplex.numtheory import totient
 from bicomplex.polys import (
     IntPoly,
     Poly,
@@ -21,6 +22,36 @@ def test_poly_add_mul():
     assert Poly.of(1, 2) + Poly.of(1, -2) == Poly.of(2)
     assert Poly.of(1, 1) - Poly.of(1, 1) == Poly.zero()
     assert Poly.of(0, 1) ** 3 == Poly.of(0, 0, 0, 1)
+
+
+def _schoolbook(a, b) -> Poly:
+    """Fraction-by-Fraction product of two coefficient tuples."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return Poly.of(*out)
+
+
+def test_products_match_fraction_schoolbook():
+    rng = random.Random(29)
+
+    def random_poly():
+        return Poly.of(*(Fraction(rng.randrange(-60, 61), rng.randrange(1, 40))
+                         for _ in range(rng.randrange(7))))
+
+    for _ in range(300):
+        p, q = random_poly(), random_poly()
+        product = p * q
+        assert product == _schoolbook(p.coeffs, q.coeffs)
+        assert all(type(c) is Fraction for c in product.coeffs)
+        assert p * Poly.zero() == Poly.zero() * p == Poly.zero()
+        k = rng.choice([rng.randrange(-9, 10), Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))])
+        assert p * k == k * p == _schoolbook(p.coeffs, (Fraction(k),))
+        n, power = rng.randrange(4), Poly.one()
+        for _ in range(n):
+            power = _schoolbook(power.coeffs, p.coeffs)
+        assert p ** n == power
 
 
 def test_power_law():
@@ -197,7 +228,7 @@ def _totient(n: int) -> int:
 
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 101):
-        assert cyclotomic(n).degree == _totient(n)
+        assert cyclotomic(n).degree == totient(n) == _totient(n)
 
 
 def test_cyclotomic_product_recovers_x_n_minus_1():
