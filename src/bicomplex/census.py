@@ -67,7 +67,13 @@ class Census:
 
 
 def census(p: IntPoly) -> Census:
-    """Census of a squarefree integer polynomial, via the Sturm real count."""
+    """Census of a squarefree integer polynomial.
+
+    The squarefree test is a gcd(p, p') mod a word-size prime (the integer
+    remainder sequence when that is not constant), and the real roots are
+    counted by Descartes bisection on integer Taylor shifts; see
+    :func:`polys.sturm_real_root_count`.
+    """
     if p.degree < 1:
         raise ValueError("census needs degree >= 1")
     try:
@@ -78,10 +84,11 @@ def census(p: IntPoly) -> Census:
 
 
 def census_cyclotomic(n: int) -> Census:
-    """Census of Phi_n (n >= 2): its phi(n) roots are roots of unity, only -1 real."""
-    if n < 2:
-        raise ValueError("cyclotomic census needs n >= 2")
-    return Census(totient(n), 1 if n == 2 else 0)
+    """Census of Phi_n: its phi(n) roots are roots of unity, and only 1 (for
+    n = 1) and -1 (for n = 2) are real."""
+    if n < 1:
+        raise ValueError("cyclotomic census needs n >= 1")
+    return Census(totient(n), 1 if n <= 2 else 0)
 
 
 LOCUS_NAMES = ("real", "plane_i", "plane_j", "plane_k", "generic")

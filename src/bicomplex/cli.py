@@ -8,7 +8,8 @@ use ``X`` with explicit ``*`` and ``^``, e.g. ``X^3 - 2*X^2 + 4*X - 8``.
 Exit codes: 0 on success, 1 on usage errors (bad syntax, unknown flags or
 descriptors), 2 on domain errors (null cone, non-terminating expansions,
 degenerate ideals, factoring a unit, an integer that rho cannot split within
-``numtheory.RHO_STEP_LIMIT`` steps).
+``numtheory.RHO_STEP_LIMIT`` steps, a real-root count past
+``polys.ISOLATION_WORK_LIMIT``).
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .census import (
     Census,
     RootConvergenceError,
     census,
+    census_cyclotomic,
     enumerate_bicomplex_roots,
     gaussian_root_set,
     locus_factors,
@@ -353,7 +355,7 @@ def _census_payload(c: Census) -> dict:
 
 def _cmd_census(args) -> int:
     poly = _input_int_poly(args)
-    result = census(poly)
+    result = census(poly) if args.cyclotomic is None else census_cyclotomic(args.cyclotomic)
     lines = [
         f"polynomial: {poly}",
         f"degree: {result.degree}",

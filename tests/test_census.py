@@ -56,10 +56,11 @@ def test_census_cyclotomic():
     assert (c5.real_roots, c5.complex_pairs, c5.off_plane, c5.total) == (0, 2, 8, 16)
     for n in range(3, 20):
         assert census_cyclotomic(n).real_roots == 0
-    for n in range(2, 201):  # the closed form against the Sturm count
+    for n in range(1, 201):  # the closed form against the exact real-root count
         assert census_cyclotomic(n) == census(cyclotomic(n))
+    assert census_cyclotomic(1) == Census(1, 1)
     with pytest.raises(ValueError):
-        census_cyclotomic(1)
+        census_cyclotomic(0)
 
 
 def test_census_invariants_random():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bicomplex
+from bicomplex import polys
 from bicomplex.cli import (
     ParseError,
     idempotent_literal,
@@ -156,6 +157,16 @@ def test_cli_census(capsys):
     code, out, _ = run(capsys, "census", "--cyclotomic", "5", "--json")
     assert code == 0
     assert json.loads(out)["total"] == 16
+    # The cyclotomic census is the closed form: no root count at degree 5760.
+    code, out, _ = run(capsys, "census", "--cyclotomic", "30030")
+    assert (code, out.splitlines()[1:3]) == (0, ["degree: 5760", "real roots: 0"])
+
+
+def test_cli_census_exits_2_at_the_isolation_work_limit(capsys, monkeypatch):
+    monkeypatch.setattr(polys, "ISOLATION_WORK_LIMIT", 10)
+    code, out, err = run(capsys, "census", "--poly", "X^4 - 5*X^2 + 4")
+    assert (code, out) == (2, "")
+    assert "more than 10 Taylor-shift word additions" in err
 
 
 def test_cli_norm_and_conj(capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bicomplex.numtheory import totient
+from bicomplex import polys
+from bicomplex.numtheory import WorkBudgetError, totient
 from bicomplex.polys import (
     IntPoly,
     Poly,
@@ -146,6 +147,37 @@ def test_is_squarefree():
         is_squarefree(IntPoly.of(5))
 
 
+def _spy_fallback(monkeypatch) -> list:
+    calls, remainder_gcd = [], polys._remainder_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return remainder_gcd(a, b)
+
+    monkeypatch.setattr(polys, "_remainder_gcd", spy)
+    return calls
+
+
+def test_squarefree_mod_q_when_q_divides_a_coefficient_of_the_derivative(monkeypatch):
+    q, calls = polys._MODULUS, _spy_fallback(monkeypatch)
+    # p' = 3X^2 + q is 3X^2 mod q, and gcd(X^3 + 1, 3X^2) = 1 there.
+    assert is_squarefree(IntPoly.of(1, q, 0, 1))
+    assert calls == []  # proven by the modular gcd alone
+    # (X + q)^2 (X - 1): the modular gcd is X^2 mod q, so the fallback decides.
+    assert not is_squarefree(IntPoly.of(q, 1) * IntPoly.of(q, 1) * IntPoly.of(-1, 1))
+    assert len(calls) == 1
+
+
+def test_squarefree_falls_back_to_the_integer_gcd(monkeypatch):
+    q, calls = polys._MODULUS, _spy_fallback(monkeypatch)
+    # X(X - q) is squarefree, but X^2 mod q is not: q divides the discriminant.
+    assert is_squarefree(IntPoly.of(0, -q, 1))
+    # q X^2 - 1: q divides the leading coefficient, so the modular gcd is skipped.
+    assert is_squarefree(IntPoly.of(-1, 0, q))
+    assert not is_squarefree(IntPoly.of(1, 2 * q, q * q))  # (qX + 1)^2
+    assert len(calls) == 3
+
+
 def test_sturm_examples():
     assert sturm_real_root_count(IntPoly.of(1, 0, 1)) == 0
     assert sturm_real_root_count(IntPoly.of(-2, 0, 1)) == 2
@@ -208,6 +240,55 @@ def test_sturm_against_constructed_roots_and_grid():
         seen += 1
         assert sturm_real_root_count(prim) == real_count
         assert _grid_sign_changes(prim) == real_count
+
+
+def _known_real_roots_product(rng) -> tuple[IntPoly, int]:
+    """A squarefree product with a known number of distinct real roots, drawn
+    from the cases bisection must get right: a root at 0, roots at the dyadic
+    midpoints +-1/2, +-1/4, +-3/4, roots beyond 2^40, close root pairs, and
+    complex pairs close to the real axis."""
+    dyadic = [Fraction(s * m, 4) for s in (1, -1) for m in (1, 2, 3)]
+    roots = set(rng.sample([Fraction(0), *dyadic], rng.randrange(0, 8)))
+    for _ in range(rng.randrange(0, 3)):
+        roots.add(Fraction(rng.choice((1, -1)) * rng.randrange(1 << 42, 1 << 48), rng.randrange(1, 4)))
+    for _ in range(rng.randrange(0, 3)):
+        r = Fraction(rng.randrange(-40, 41), rng.randrange(1, 8))
+        roots |= {r, r + Fraction(rng.choice((1, -1)), rng.randrange(1 << 20, 1 << 40))}
+    if not roots:
+        roots.add(Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)))
+    poly = Poly.one()
+    for r in roots:
+        poly = poly * Poly.of(-r, 1)
+    quadratics = set()
+    for _ in range(rng.randrange(0, 3)):
+        t, eps = Fraction(rng.randrange(-8, 9), 4), Fraction(1, rng.randrange(2, 1 << 30))
+        quadratics.add((t * t + eps * eps, -2 * t))  # roots t +- eps*i
+    for c, b in quadratics:
+        poly = poly * Poly.of(c, b, 1)
+    return content_primitive(poly)[1], len(roots)
+
+
+def test_descartes_count_on_midpoint_large_and_close_roots():
+    rng = random.Random(2026)
+    for _ in range(150):
+        p, real = _known_real_roots_product(rng)
+        assert is_squarefree(p)
+        assert sturm_real_root_count(p) == real
+
+
+def test_descartes_count_of_a_degree_25_product_of_100_bit_factors():
+    p, factors = _oracle_product(random.Random(25), 25, 100)
+    assert p.degree == 25 and max(abs(c) for c in p.coeffs).bit_length() > 1000
+    assert sturm_real_root_count(p) == sum(len(f) == 2 for f in factors)
+
+
+def test_root_count_stops_at_the_work_limit(monkeypatch):
+    monkeypatch.setattr(polys, "ISOLATION_WORK_LIMIT", 10000)
+    p, _ = _oracle_product(random.Random(25), 25, 100)
+    with pytest.raises(WorkBudgetError) as err:
+        sturm_real_root_count(p)
+    assert isinstance(err.value, ArithmeticError)
+    assert "10000" in str(err.value) and "word additions" in str(err.value)
 
 
 def test_cyclotomic_examples():
@@ -286,7 +367,7 @@ def _oracle_product(rng, degree, bits):
     return product, sorted(factors)
 
 
-def test_sturm_count_matches_sympy_on_large_products():
+def test_descartes_count_matches_sympy_on_large_products():
     rng = random.Random(2004)
     for degree, bits in ((8, 24), (12, 16), (16, 12), (24, 8), (32, 6), (48, 4), (64, 3)):
         p, factors = _oracle_product(rng, degree, bits)
