@@ -10,6 +10,9 @@ descriptors), 2 on domain errors (null cone, non-terminating expansions,
 degenerate ideals, factoring a unit, an integer that rho cannot split within
 ``numtheory.RHO_STEP_LIMIT`` steps, a real-root count past
 ``polys.ISOLATION_WORK_LIMIT``).
+
+Each ``_cmd_*`` handler returns (text lines, JSON payload) and prints
+nothing; ``main`` alone renders one of them and maps errors to exit codes.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ import sys
 from fractions import Fraction
 
 from .census import (
-    Census,
     RootConvergenceError,
     census,
     census_cyclotomic,
@@ -32,7 +34,7 @@ from .census import (
 from .element import BicomplexElement, NullConeError, format_cartesian, idempotent_literal
 from .minpoly import minpoly_bicomplex, quartic_charpoly
 from .numtheory import WorkBudgetError
-from .polys import IntPoly, Poly, content_primitive, cyclotomic, format_poly
+from .polys import IntPoly, Poly, content_primitive, cyclotomic, format_poly, is_squarefree
 from .radix import (
     DigitString,
     GaussBase,
@@ -40,7 +42,6 @@ from .radix import (
     HypSplitBase,
     NonTerminationError,
     decode,
-    digit_set,
     encode,
 )
 from .rings import (
@@ -52,9 +53,7 @@ from .rings import (
     QuadraticField,
     RationalField,
     UnitInputError,
-    UnsupportedRingError,
     discriminant,
-    discriminant_by_trace_matrix,
     factor,
     rational_prime_profile,
     unit_group,
@@ -223,7 +222,10 @@ def parse_field(text: str) -> RationalField | QuadraticField:
     if isinstance(named, (RationalField, QuadraticField)):
         return named
     if text.startswith("Q(sqrt:") and text.endswith(")"):
-        return QuadraticField(int(text[len("Q(sqrt:"):-1]))
+        try:
+            return QuadraticField(int(text[len("Q(sqrt:"):-1]))
+        except ValueError as exc:
+            raise ParseError(f"bad field {text!r}: {exc}", 0) from None
     raise ParseError(f"unknown field {text!r}; use Q, Qi or Q(sqrt:D)", 0)
 
 
@@ -264,7 +266,7 @@ def parse_radix_base(text: str):
         f"unknown radix base {text!r}; use split:A, jgauss:A or gauss:A+i / gauss:A-i", 0)
 
 
-# -- output helpers -------------------------------------------------------------
+# -- subcommand handlers ---------------------------------------------------------
 
 def element_payload(el: BicomplexElement) -> dict:
     payload = {"idempotent": idempotent_literal(el)}
@@ -277,66 +279,48 @@ def _poly_coeff_list(poly: Poly) -> list:
     return [int(c) if c.denominator == 1 else str(c) for c in poly.coeffs]
 
 
-def _emit(args, text_lines, payload):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _prime_powers(factors) -> tuple[list[str], list[dict]]:
+    """The text lines and the JSON list of a factorization's prime powers."""
+    return ([f"prime {idempotent_literal(p)} ^ {e}" for p, e in factors],
+            [{"prime": element_payload(p), "exponent": e} for p, e in factors])
 
 
-# -- subcommand handlers ---------------------------------------------------------
-
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     el = parse_element(args.element)
-    _emit(args, [idempotent_literal(el)], element_payload(el))
-    return 0
+    return [idempotent_literal(el)], element_payload(el)
 
 
-def _cmd_conj(args) -> int:
+def _cmd_conj(args):
     el = parse_element(args.element).conjugate(args.axis)
-    _emit(args, [str(el)], element_payload(el))
-    return 0
+    return [str(el)], element_payload(el)
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args):
     value = parse_element(args.element).norm()
-    _emit(args, [str(value)], {"norm": str(value)})
-    return 0
+    return [str(value)], {"norm": str(value)}
 
 
-def _cmd_minpoly(args) -> int:
+def _cmd_minpoly(args):
     result = minpoly_bicomplex(parse_element(args.element))
-    lines = [str(result.poly), f"kind: {result.kind}"]
-    payload = {
+    return [str(result.poly), f"kind: {result.kind}"], {
         "poly": list(result.poly.coeffs),
         "text": str(result.poly),
         "kind": result.kind,
         "components": [list(p.coeffs) for p in result.component_polys],
     }
-    _emit(args, lines, payload)
-    return 0
 
 
-def _cmd_charpoly4(args) -> int:
+def _cmd_charpoly4(args):
     poly, coeffs = quartic_charpoly(parse_element(args.element))
-    lines = [
-        format_poly(poly),
-        f"4*Re = {coeffs.four_re}",
-        f"A = {coeffs.triple_sum}",
-        f"B = {coeffs.pair_sum}",
-        f"N = {coeffs.norm}",
-    ]
-    payload = {
-        "poly": _poly_coeff_list(poly),
-        "text": format_poly(poly),
-        "four_re": str(coeffs.four_re),
-        "A": str(coeffs.triple_sum),
-        "B": str(coeffs.pair_sum),
-        "N": str(coeffs.norm),
-    }
-    _emit(args, lines, payload)
-    return 0
+    rows = (  # (text label, JSON key, value)
+        ("4*Re", "four_re", coeffs.four_re),
+        ("A", "A", coeffs.triple_sum),
+        ("B", "B", coeffs.pair_sum),
+        ("N", "N", coeffs.norm),
+    )
+    lines = [format_poly(poly)] + [f"{label} = {value}" for label, _, value in rows]
+    payload = {key: str(value) for _, key, value in rows}
+    return lines, payload | {"poly": _poly_coeff_list(poly), "text": format_poly(poly)}
 
 
 def _input_int_poly(args) -> IntPoly:
@@ -347,163 +331,131 @@ def _input_int_poly(args) -> IntPoly:
     return minpoly_bicomplex(parse_element(args.element)).poly
 
 
-def _census_payload(c: Census) -> dict:
-    names = ("degree", "real_roots", "complex_pairs", "i_plane", "j_plane", "k_plane",
-             "off_plane", "total")
-    return {name: getattr(c, name) for name in names}
+# (text label, JSON key) of each census count; complex_pairs is JSON only.
+_CENSUS_ROWS = (
+    ("degree", "degree"),
+    ("real roots", "real_roots"),
+    (None, "complex_pairs"),
+    ("i-plane (non-real)", "i_plane"),
+    ("j-plane (non-real)", "j_plane"),
+    ("k-plane (non-real)", "k_plane"),
+    ("off-plane", "off_plane"),
+    ("total bicomplex roots", "total"),
+)
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     poly = _input_int_poly(args)
     result = census(poly) if args.cyclotomic is None else census_cyclotomic(args.cyclotomic)
-    lines = [
-        f"polynomial: {poly}",
-        f"degree: {result.degree}",
-        f"real roots: {result.real_roots}",
-        f"i-plane (non-real): {result.i_plane}",
-        f"j-plane (non-real): {result.j_plane}",
-        f"k-plane (non-real): {result.k_plane}",
-        f"off-plane: {result.off_plane}",
-        f"total bicomplex roots: {result.total}",
-    ]
-    _emit(args, lines, _census_payload(result))
-    return 0
+    lines = [f"polynomial: {poly}"]
+    lines += [f"{label}: {getattr(result, key)}" for label, key in _CENSUS_ROWS if label]
+    return lines, {key: getattr(result, key) for _, key in _CENSUS_ROWS}
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args):
     poly = _input_int_poly(args)
-    if args.bicomplex:
-        mp_components = None
-        if args.element is not None:
-            mp_components = minpoly_bicomplex(parse_element(args.element)).component_polys
-        roots = gaussian_root_set(mp_components if mp_components else [poly])
-        if roots is None:
-            print("error: roots are not Gaussian rationals; rerun without --bicomplex",
-                  file=sys.stderr)
-            return 1
-        partition = enumerate_bicomplex_roots(roots)
-        factors = locus_factors(roots, poly.lead)
-        lines = []
-        payload = {}
-        for name, members, factor_poly in (
-                ("real", partition.real, factors.real),
-                ("i-plane", partition.plane_i, factors.plane_i),
-                ("j-plane", partition.plane_j, factors.plane_j),
-                ("k-plane", partition.plane_k, factors.plane_k),
-                ("off-plane", partition.generic, factors.generic)):
-            shown = ", ".join(idempotent_literal(m) for m in members) or "(none)"
-            lines.append(f"{name}: {shown}")
-            lines.append(f"{name} factor: {format_poly(factor_poly)}")
-            payload[name.replace("-", "_")] = {
-                "roots": [idempotent_literal(m) for m in members],
-                "factor": _poly_coeff_list(factor_poly),
-            }
-        _emit(args, lines, payload)
-        return 0
-    approx = numeric_roots(poly, tol=args.tol)
-    lines = [f"{z.real:.12g}{z.imag:+.12g}*i" for z in approx]
-    _emit(args, lines, {"roots": [[z.real, z.imag] for z in approx]})
-    return 0
+    if not args.bicomplex:
+        approx = numeric_roots(poly, tol=args.tol)
+        lines = [f"{z.real:.12g}{z.imag:+.12g}*i" for z in approx]
+        return lines, {"roots": [[z.real, z.imag] for z in approx]}
+    if args.poly is not None and not is_squarefree(poly):
+        raise ValueError("roots --bicomplex is defined for squarefree polynomials only")
+    sources = [poly]
+    if args.element is not None:
+        sources = minpoly_bicomplex(parse_element(args.element)).component_polys
+    roots = gaussian_root_set(sources)
+    if roots is None:
+        raise ValueError("roots are not Gaussian rationals; rerun without --bicomplex")
+    partition = enumerate_bicomplex_roots(roots)
+    factors = locus_factors(roots, poly.lead)
+    lines = []
+    payload = {}
+    for name, members, factor_poly in (
+            ("real", partition.real, factors.real),
+            ("i-plane", partition.plane_i, factors.plane_i),
+            ("j-plane", partition.plane_j, factors.plane_j),
+            ("k-plane", partition.plane_k, factors.plane_k),
+            ("off-plane", partition.generic, factors.generic)):
+        shown = ", ".join(idempotent_literal(m) for m in members) or "(none)"
+        lines.append(f"{name}: {shown}")
+        lines.append(f"{name} factor: {format_poly(factor_poly)}")
+        payload[name.replace("-", "_")] = {
+            "roots": [idempotent_literal(m) for m in members],
+            "factor": _poly_coeff_list(factor_poly),
+        }
+    return lines, payload
 
 
-def _cmd_factor(args) -> int:
-    L = parse_extension(args.L)
-    decomposition = factor(parse_element(args.element), L)
-    lines = [f"unit {idempotent_literal(decomposition.unit)}"]
-    lines += [f"prime {idempotent_literal(p)} ^ {e}" for p, e in decomposition.factors]
-    payload = {
-        "unit": element_payload(decomposition.unit),
-        "factors": [{"prime": element_payload(p), "exponent": e}
-                    for p, e in decomposition.factors],
-    }
-    _emit(args, lines, payload)
-    return 0
+def _cmd_factor(args):
+    decomposition = factor(parse_element(args.element), parse_extension(args.L))
+    prime_lines, prime_list = _prime_powers(decomposition.factors)
+    lines = [f"unit {idempotent_literal(decomposition.unit)}"] + prime_lines
+    return lines, {"unit": element_payload(decomposition.unit), "factors": prime_list}
 
 
-def _cmd_primes_profile(args) -> int:
+def _cmd_primes_profile(args):
     L = parse_extension(args.L)
     profile = rational_prime_profile(args.p, L)
+    prime_lines, prime_list = _prime_powers(profile.factorization.factors)
     lines = [
         f"p = {args.p} in {L}: {profile.factor_count} prime factors (with multiplicity)",
         f"semiprime: {'yes' if profile.semiprime else 'no'}",
     ]
-    lines += [f"prime {idempotent_literal(p)} ^ {e}"
-              for p, e in profile.factorization.factors]
-    payload = {
+    return lines + prime_lines, {
         "p": args.p,
         "factor_count": profile.factor_count,
         "semiprime": profile.semiprime,
-        "factors": [{"prime": element_payload(p), "exponent": e}
-                    for p, e in profile.factorization.factors],
+        "factors": prime_list,
     }
-    _emit(args, lines, payload)
-    return 0
 
 
-def _cmd_units(args) -> int:
+def _cmd_units(args):
     info = unit_group(parse_extension(args.L))
-    lines = [
-        f"finite: {'yes' if info.finite else 'no'}",
-        f"order: {info.order if info.finite else 'infinite'}",
-        f"class: {info.unit_class}",
-        f"structure: {info.structure}",
+    rows = [  # (text label, JSON key, text value, JSON value)
+        ("finite", "finite", "yes" if info.finite else "no", info.finite),
+        ("order", "order", info.order if info.finite else "infinite", info.order),
+        ("class", "class", info.unit_class, info.unit_class),
+        ("structure", "structure", info.structure, info.structure),
     ]
-    payload = {
-        "finite": info.finite,
-        "order": info.order,
-        "class": info.unit_class,
-        "structure": info.structure,
-    }
     if info.infinite_witness is not None:
-        lines.append(f"infinite-order unit: {idempotent_literal(info.infinite_witness)}")
-        payload["infinite_order_unit"] = idempotent_literal(info.infinite_witness)
-    _emit(args, lines, payload)
-    return 0
+        witness = idempotent_literal(info.infinite_witness)
+        rows.append(("infinite-order unit", "infinite_order_unit", witness, witness))
+    lines = [f"{label}: {text}" for label, _, text, _ in rows]
+    return lines, {key: value for _, key, _, value in rows}
 
 
-def _cmd_disc(args) -> int:
-    L = parse_extension(args.L)
-    value = discriminant(L)
-    try:
-        assert value == discriminant_by_trace_matrix(L)
-    except UnsupportedRingError:
-        pass  # two radicands, no element type: the product formula still applies
-    _emit(args, [str(value)], {"discriminant": value})
-    return 0
+def _cmd_disc(args):
+    value = discriminant(parse_extension(args.L))
+    return [str(value)], {"discriminant": value}
 
 
-def _cmd_ideal_count(args) -> int:
+def _cmd_ideal_count(args):
     table = coefficient_table(parse_table_key(args.K), args.max)
+    rows = list(enumerate(table.values, start=1))
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["n", "a_n"])
-            for n, a in enumerate(table.values, start=1):
-                writer.writerow([n, a])
-    if args.json:
-        print(json.dumps(list(table.values)))
-    elif not args.out:
-        for n, a in enumerate(table.values, start=1):
-            print(n, a)
-    return 0
+            csv.writer(handle).writerows([("n", "a_n")] + rows)
+        return [], list(table.values)
+    return [f"{n} {a}" for n, a in rows], list(table.values)
 
 
-def _cmd_zeta(args) -> int:
-    value = zeta_partial(parse_table_key(args.K), Fraction(args.s), args.N)
-    _emit(args, [f"{value:.12g}"], {"value": value, "s": args.s, "N": args.N})
-    return 0
+def _cmd_zeta(args):
+    try:
+        s = Fraction(args.s)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad exponent --s {args.s!r}", 0) from None
+    value = zeta_partial(parse_table_key(args.K), s, args.N)
+    return [f"{value:.12g}"], {"value": value, "s": args.s, "N": args.N}
 
 
-def _cmd_radix_encode(args) -> int:
+def _cmd_radix_encode(args):
     base = parse_radix_base(args.base)
     digits = encode(parse_element(args.element), base)
     lines = [f"base {base}", f"digits (msd first): {digits}"]
-    payload = {"base": args.base, "digits_lsd_first": list(digits.digits)}
-    _emit(args, lines, payload)
-    return 0
+    return lines, {"base": args.base, "digits_lsd_first": list(digits.digits)}
 
 
-def _cmd_radix_decode(args) -> int:
+def _cmd_radix_decode(args):
     base = parse_radix_base(args.base)
     try:
         msd_digits = [int(d) for d in args.digits.replace(",", " ").split()]
@@ -515,8 +467,7 @@ def _cmd_radix_decode(args) -> int:
         msd_digits.pop(0)
     value = decode(DigitString(tuple(reversed(msd_digits)), base))
     shown = str(value) if isinstance(base, GaussBase) else idempotent_literal(value)
-    _emit(args, [shown], element_payload(value))
-    return 0
+    return [shown], element_payload(value)
 
 
 # -- driver -----------------------------------------------------------------------
@@ -532,47 +483,42 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exact arithmetic of bicomplex algebraic numbers.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def sub(name, handler, help_text):
+    def sub(name, handler, help_text, *positionals):
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        for positional in positionals:
+            p.add_argument(positional)
         p.set_defaults(handler=handler)
         return p
 
-    p = sub("decompose", _cmd_decompose, "idempotent components of an element")
-    p.add_argument("element")
+    sub("decompose", _cmd_decompose, "idempotent components of an element", "element")
 
-    p = sub("conj", _cmd_conj, "conjugate an element along an axis")
-    p.add_argument("element")
+    p = sub("conj", _cmd_conj, "conjugate an element along an axis", "element")
     p.add_argument("--axis", choices=("i", "j", "k"), required=True)
 
-    p = sub("norm", _cmd_norm, "norm (product with the three conjugates)")
-    p.add_argument("element")
+    sub("norm", _cmd_norm, "norm (product with the three conjugates)", "element")
 
-    p = sub("minpoly", _cmd_minpoly, "minimal polynomial of an element")
-    p.add_argument("element")
+    sub("minpoly", _cmd_minpoly, "minimal polynomial of an element", "element")
 
-    p = sub("charpoly4", _cmd_charpoly4, "quartic characteristic polynomial")
-    p.add_argument("element")
+    sub("charpoly4", _cmd_charpoly4, "quartic characteristic polynomial", "element")
 
-    def poly_source(p, with_tol=False):
+    def poly_source(p):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--poly", help="polynomial literal in X")
         group.add_argument("--element", help="use the element's minimal polynomial")
         group.add_argument("--cyclotomic", type=int, metavar="N",
                            help="use the N-th cyclotomic polynomial")
-        if with_tol:
-            p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub("census", _cmd_census, "bicomplex root census of a squarefree polynomial")
     poly_source(p)
 
     p = sub("roots", _cmd_roots, "numeric roots, or exact bicomplex root loci")
-    poly_source(p, with_tol=True)
+    poly_source(p)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--bicomplex", action="store_true",
                    help="enumerate the n^2 bicomplex roots exactly by locus")
 
-    p = sub("factor", _cmd_factor, "factor an integral element into primes")
-    p.add_argument("element")
+    p = sub("factor", _cmd_factor, "factor an integral element into primes", "element")
     p.add_argument("--L", default="QB", help="Qh, QB or custom:K1,K2")
 
     p = sub("primes-profile", _cmd_primes_profile, "how a rational prime factors")
@@ -595,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="exponent, s > 1 (fraction allowed)")
     p.add_argument("--N", type=int, required=True)
 
-    p = sub("radix-encode", _cmd_radix_encode, "digit expansion of an integer element")
-    p.add_argument("element")
+    p = sub("radix-encode", _cmd_radix_encode, "digit expansion of an integer element",
+            "element")
     p.add_argument("--base", required=True, help="split:A, jgauss:A, gauss:A+i or gauss:A-i")
 
     p = sub("radix-decode", _cmd_radix_decode, "evaluate a digit string (msd first)")
@@ -607,19 +553,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.handler(args)
-    except DOMAIN_ERRORS as exc:
+        lines, payload = args.handler(args)
+    except (*DOMAIN_ERRORS, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, UnsupportedRingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DOMAIN_ERRORS) else 1
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
 if __name__ == "__main__":

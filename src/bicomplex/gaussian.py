@@ -142,4 +142,4 @@ def factor_gaussian(g: QuadRational) -> tuple[QuadRational, tuple[tuple[QuadRati
     if z not in _I_POWERS:
         raise AssertionError(f"factorization of {g} left non-unit {z}")
     factors.sort(key=lambda fe: (fe[0][0] ** 2 + fe[0][1] ** 2, fe[0]))
-    return GaussianRational(*z), tuple((GaussianRational(*p), e) for p, e in factors)
+    return GaussianRational(*z), tuple([(GaussianRational(*p), e) for p, e in factors])

@@ -427,7 +427,7 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     entries.sort(key=_prime_sort_key)
     return BicomplexFactorization(
         unit=BicomplexElement(unit1, unit2),
-        factors=tuple((el, e) for el, e, _ in entries),
+        factors=tuple([(el, e) for el, e, _ in entries]),
     )
 
 

@@ -233,6 +233,94 @@ def test_cli_roots(capsys):
     assert len(payload["off_plane"]["roots"]) == 4
 
 
+def test_cli_roots_bicomplex_rejects_a_repeated_root(capsys):
+    # (2X + 1)^2: the exact root set would hold -1/2 once, not twice
+    code, out, err = run(capsys, "roots", "--poly", "4*X^2+4*X+1", "--bicomplex")
+    assert (code, out) == (1, "")
+    assert "defined for squarefree polynomials only" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["zeta", "--K", "Q", "--s", "1/0", "--N", "10"], "--s"),
+    (["zeta", "--K", "Q", "--s", "two", "--N", "10"], "--s"),
+    (["disc", "--L", "custom:Q(sqrt:abc),Q"], "Q(sqrt:abc)"),
+])
+def test_cli_bad_input_exits_1_naming_the_argument(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert named in err and "Traceback" not in err
+
+
+def test_cli_zeta_accepts_fraction_and_decimal_exponents(capsys):
+    fraction = run(capsys, "zeta", "--K", "Q", "--s", "5/2", "--N", "10")
+    decimal = run(capsys, "zeta", "--K", "Q", "--s", "2.5", "--N", "10")
+    assert fraction[0] == 0 and fraction == decimal
+
+
+ELEMENT_KEYS = {"cartesian", "idempotent"}
+CENSUS_KEYS = {"degree", "real_roots", "complex_pairs", "i_plane", "j_plane", "k_plane",
+               "off_plane", "total"}
+PROFILE_KEYS = {"p", "factor_count", "semiprime", "factors"}
+UNIT_KEYS = {"finite", "order", "class", "structure"}
+
+# Each README command line with the key set that the README's "JSON shapes"
+# lists for it (None: the bare array of ideal-count), then the two infinite
+# unit groups, with and without an element type.
+README_JSON_SHAPES = [
+    (["minpoly", "1+i+j-k"], {"poly", "text", "kind", "components"}),
+    (["decompose", "1+i+j-k"], ELEMENT_KEYS),
+    (["conj", "1+i+j-k", "--axis", "j"], ELEMENT_KEYS),
+    (["norm", "[2, 2*i]"], {"norm"}),
+    (["charpoly4", "1+i+j-k"], {"poly", "text", "four_re", "A", "B", "N"}),
+    (["census", "--poly", "X^3 - 2*X^2 + 4*X - 8"], CENSUS_KEYS),
+    (["census", "--cyclotomic", "12"], CENSUS_KEYS),
+    (["roots", "--poly", "X^2 + 1"], {"roots"}),
+    (["roots", "--element", "1+i+j-k", "--bicomplex"],
+     {"real", "i_plane", "j_plane", "k_plane", "off_plane"}),
+    (["factor", "[6, 35]", "--L", "Qh"], {"unit", "factors"}),
+    (["factor", "5", "--L", "QB"], {"unit", "factors"}),
+    (["primes-profile", "3", "--L", "QB"], PROFILE_KEYS),
+    (["units", "--L", "QB"], UNIT_KEYS),
+    (["disc", "--L", "QB"], {"discriminant"}),
+    (["ideal-count", "--K", "QB", "--max", "20"], None),
+    (["ideal-count", "--K", "Qh", "--max", "100", "--out", "table.csv"], None),
+    (["zeta", "--K", "Qh", "--s", "2", "--N", "10000"], {"value", "s", "N"}),
+    (["radix-encode", "[7, -4]", "--base", "split:-2"], {"base", "digits_lsd_first"}),
+    (["radix-decode", "--base", "split:-2", "--digits", "1 4 3 0 3 5"], ELEMENT_KEYS),
+    (["units", "--L", "custom:Q(sqrt:2),Q"], UNIT_KEYS | {"infinite_order_unit"}),
+    (["units", "--L", "custom:Q(sqrt:2),Q(sqrt:3)"], UNIT_KEYS),
+]
+
+
+@pytest.mark.parametrize("argv, keys", README_JSON_SHAPES,
+                         ids=[" ".join(argv) for argv, _ in README_JSON_SHAPES])
+def test_cli_json_shapes_match_the_readme(capsys, monkeypatch, tmp_path, argv, keys):
+    monkeypatch.chdir(tmp_path)  # ideal-count --out writes table.csv here
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    if keys is None:
+        assert isinstance(payload, list) and len(payload) == int(argv[argv.index("--max") + 1])
+        return
+    assert set(payload) == keys
+    for entry in payload.get("factors", []):
+        assert set(entry) == {"prime", "exponent"}
+        assert "idempotent" in entry["prime"] and set(entry["prime"]) <= ELEMENT_KEYS
+    if argv[0] == "roots" and "--bicomplex" in argv:
+        assert all(set(locus) == {"roots", "factor"} for locus in payload.values())
+
+
+def test_cli_radix_encode_json_decodes_back(capsys):
+    code, out, _ = run(capsys, "radix-encode", "[7, -4]", "--base", "split:-2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["base"] == "split:-2"
+    msd_first = " ".join(str(d) for d in reversed(payload["digits_lsd_first"]))
+    code, out, _ = run(capsys, "radix-decode", "--base", "split:-2", "--digits", msd_first,
+                       "--json")
+    assert code == 0
+    assert parse_element(json.loads(out)["idempotent"]) == parse_element("[7, -4]")
+
+
 def test_cli_radix_round_trip(capsys):
     code, out, _ = run(capsys, "radix-encode", "[7, -4]", "--base", "split:-2")
     assert code == 0
