@@ -24,12 +24,12 @@ from fractions import Fraction
 
 from .element import BicomplexElement
 from .minpoly import conjugate_pair_poly
-from .numtheory import totient
+from .numtheory import DomainError, totient
 from .polys import IntPoly, Poly, is_squarefree, sturm_real_root_count
 from .scalars import GaussianRational, QuadRational
 
 
-class RootConvergenceError(ArithmeticError):
+class RootConvergenceError(DomainError, ArithmeticError):
     """The numeric root iteration did not converge within its cap."""
 
 

@@ -9,7 +9,8 @@ Exit codes: 0 on success, 1 on usage errors (bad syntax, unknown flags or
 descriptors), 2 on domain errors (null cone, non-terminating expansions,
 degenerate ideals, factoring a unit, an integer that rho cannot split within
 ``numtheory.RHO_STEP_LIMIT`` steps, a real-root count past
-``polys.ISOLATION_WORK_LIMIT``).
+``polys.ISOLATION_WORK_LIMIT``); these are the subclasses of
+``numtheory.DomainError``.
 
 Each ``_cmd_*`` handler returns (text lines, JSON payload) and prints
 nothing; ``main`` alone renders one of them and maps errors to exit codes.
@@ -17,52 +18,20 @@ nothing; ``main`` alone renders one of them and maps errors to exit codes.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
 
-from .census import (
-    RootConvergenceError,
-    census,
-    census_cyclotomic,
-    enumerate_bicomplex_roots,
-    gaussian_root_set,
-    locus_factors,
-    numeric_roots,
-)
-from .element import BicomplexElement, NullConeError, format_cartesian, idempotent_literal
-from .minpoly import minpoly_bicomplex, quartic_charpoly
-from .numtheory import WorkBudgetError
-from .polys import IntPoly, Poly, content_primitive, cyclotomic, format_poly, is_squarefree
-from .radix import (
-    DigitString,
-    GaussBase,
-    HypGaussBase,
-    HypSplitBase,
-    NonTerminationError,
-    decode,
-    encode,
-)
-from .rings import (
-    ExtensionDescriptor,
-    GAUSSIAN_FIELD,
-    QB,
-    QH,
-    Q_FIELD,
-    QuadraticField,
-    RationalField,
-    UnitInputError,
-    discriminant,
-    factor,
-    rational_prime_profile,
-    unit_group,
-)
+# Every subcommand needs the element layer (which loads scalars and
+# numtheory); the other modules are imported by the handler that uses them,
+# so one command line loads only what it runs.
+from .element import BicomplexElement, format_cartesian, idempotent_literal
+from .numtheory import DomainError
 from .scalars import GaussianRational
-from .zeta import DegenerateIdealError, coefficient_table, zeta_partial
 
-DOMAIN_ERRORS = (NullConeError, NonTerminationError, DegenerateIdealError,
-                 UnitInputError, RootConvergenceError, WorkBudgetError)
+TYPE_CHECKING = False  # the names below appear in annotations only
+if TYPE_CHECKING:
+    from .polys import IntPoly, Poly
+    from .rings import ExtensionDescriptor, QuadraticField, RationalField
 
 
 class ParseError(ValueError):
@@ -194,6 +163,8 @@ def parse_element(text: str) -> BicomplexElement:
 
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial in X with rational coefficients."""
+    from .polys import Poly
+
     sc = _Scanner(text)
     terms = _scan_terms(sc, "Xx")
     if sc.peek() is not None:
@@ -205,6 +176,8 @@ def parse_poly(text: str) -> Poly:
 
 
 def parse_int_poly(text: str) -> IntPoly:
+    from .polys import content_primitive
+
     poly = parse_poly(text)
     if poly.is_zero:
         raise ParseError("the zero polynomial is not allowed here", 0)
@@ -213,12 +186,19 @@ def parse_int_poly(text: str) -> IntPoly:
 
 # -- descriptor flags ---------------------------------------------------------
 
-# The named fields and extensions; each parser accepts the names of its own type.
-_NAMED = {"Q": Q_FIELD, "Qi": GAUSSIAN_FIELD, "Q(i)": GAUSSIAN_FIELD, "Qh": QH, "QB": QB}
+def _named(text: str):
+    """The named field or extension, or None; each parser accepts the names
+    of its own type."""
+    from .rings import GAUSSIAN_FIELD, QB, QH, Q_FIELD
+
+    return {"Q": Q_FIELD, "Qi": GAUSSIAN_FIELD, "Q(i)": GAUSSIAN_FIELD,
+            "Qh": QH, "QB": QB}.get(text)
 
 
 def parse_field(text: str) -> RationalField | QuadraticField:
-    named = _NAMED.get(text)
+    from .rings import QuadraticField, RationalField
+
+    named = _named(text)
     if isinstance(named, (RationalField, QuadraticField)):
         return named
     if text.startswith("Q(sqrt:") and text.endswith(")"):
@@ -230,7 +210,9 @@ def parse_field(text: str) -> RationalField | QuadraticField:
 
 
 def parse_extension(text: str) -> ExtensionDescriptor:
-    named = _NAMED.get(text)
+    from .rings import ExtensionDescriptor
+
+    named = _named(text)
     if isinstance(named, ExtensionDescriptor):
         return named
     if text.startswith("custom:"):
@@ -243,12 +225,15 @@ def parse_extension(text: str) -> ExtensionDescriptor:
 
 def parse_table_key(text: str):
     """Field or extension names accepted by the counting commands."""
-    if text in _NAMED:
-        return _NAMED[text]
+    named = _named(text)
+    if named is not None:
+        return named
     raise ParseError(f"unknown coefficient field {text!r}; use Q, Qi, Qh or QB", 0)
 
 
 def parse_radix_base(text: str):
+    from .radix import GaussBase, HypGaussBase, HypSplitBase
+
     kind, _, rest = text.partition(":")
     try:
         if kind == "split":
@@ -301,6 +286,8 @@ def _cmd_norm(args):
 
 
 def _cmd_minpoly(args):
+    from .minpoly import minpoly_bicomplex
+
     result = minpoly_bicomplex(parse_element(args.element))
     return [str(result.poly), f"kind: {result.kind}"], {
         "poly": list(result.poly.coeffs),
@@ -311,6 +298,9 @@ def _cmd_minpoly(args):
 
 
 def _cmd_charpoly4(args):
+    from .minpoly import quartic_charpoly
+    from .polys import format_poly
+
     poly, coeffs = quartic_charpoly(parse_element(args.element))
     rows = (  # (text label, JSON key, value)
         ("4*Re", "four_re", coeffs.four_re),
@@ -323,12 +313,21 @@ def _cmd_charpoly4(args):
     return lines, payload | {"poly": _poly_coeff_list(poly), "text": format_poly(poly)}
 
 
-def _input_int_poly(args) -> IntPoly:
+def _input_int_poly(args) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    """The input polynomial, and polynomials with the same roots that
+    ``gaussian_root_set`` reads: the element's component polynomials, or
+    the polynomial itself."""
+    from .minpoly import minpoly_bicomplex
+    from .polys import cyclotomic
+
+    if args.element is not None:
+        result = minpoly_bicomplex(parse_element(args.element))
+        return result.poly, result.component_polys
     if args.cyclotomic is not None:
-        return cyclotomic(args.cyclotomic)
-    if args.poly is not None:
-        return parse_int_poly(args.poly)
-    return minpoly_bicomplex(parse_element(args.element)).poly
+        poly = cyclotomic(args.cyclotomic)
+    else:
+        poly = parse_int_poly(args.poly)
+    return poly, (poly,)
 
 
 # (text label, JSON key) of each census count; complex_pairs is JSON only.
@@ -345,7 +344,9 @@ _CENSUS_ROWS = (
 
 
 def _cmd_census(args):
-    poly = _input_int_poly(args)
+    from .census import census, census_cyclotomic
+
+    poly, _ = _input_int_poly(args)
     result = census(poly) if args.cyclotomic is None else census_cyclotomic(args.cyclotomic)
     lines = [f"polynomial: {poly}"]
     lines += [f"{label}: {getattr(result, key)}" for label, key in _CENSUS_ROWS if label]
@@ -353,16 +354,16 @@ def _cmd_census(args):
 
 
 def _cmd_roots(args):
-    poly = _input_int_poly(args)
+    from .census import enumerate_bicomplex_roots, gaussian_root_set, locus_factors, numeric_roots
+    from .polys import format_poly, is_squarefree
+
+    poly, sources = _input_int_poly(args)
     if not args.bicomplex:
         approx = numeric_roots(poly, tol=args.tol)
         lines = [f"{z.real:.12g}{z.imag:+.12g}*i" for z in approx]
         return lines, {"roots": [[z.real, z.imag] for z in approx]}
     if args.poly is not None and not is_squarefree(poly):
         raise ValueError("roots --bicomplex is defined for squarefree polynomials only")
-    sources = [poly]
-    if args.element is not None:
-        sources = minpoly_bicomplex(parse_element(args.element)).component_polys
     roots = gaussian_root_set(sources)
     if roots is None:
         raise ValueError("roots are not Gaussian rationals; rerun without --bicomplex")
@@ -387,6 +388,8 @@ def _cmd_roots(args):
 
 
 def _cmd_factor(args):
+    from .rings import factor
+
     decomposition = factor(parse_element(args.element), parse_extension(args.L))
     prime_lines, prime_list = _prime_powers(decomposition.factors)
     lines = [f"unit {idempotent_literal(decomposition.unit)}"] + prime_lines
@@ -394,6 +397,8 @@ def _cmd_factor(args):
 
 
 def _cmd_primes_profile(args):
+    from .rings import rational_prime_profile
+
     L = parse_extension(args.L)
     profile = rational_prime_profile(args.p, L)
     prime_lines, prime_list = _prime_powers(profile.factorization.factors)
@@ -410,6 +415,8 @@ def _cmd_primes_profile(args):
 
 
 def _cmd_units(args):
+    from .rings import unit_group
+
     info = unit_group(parse_extension(args.L))
     rows = [  # (text label, JSON key, text value, JSON value)
         ("finite", "finite", "yes" if info.finite else "no", info.finite),
@@ -425,14 +432,20 @@ def _cmd_units(args):
 
 
 def _cmd_disc(args):
+    from .rings import discriminant
+
     value = discriminant(parse_extension(args.L))
     return [str(value)], {"discriminant": value}
 
 
 def _cmd_ideal_count(args):
+    from .zeta import coefficient_table
+
     table = coefficient_table(parse_table_key(args.K), args.max)
     rows = list(enumerate(table.values, start=1))
     if args.out:
+        import csv
+
         with open(args.out, "w", newline="") as handle:
             csv.writer(handle).writerows([("n", "a_n")] + rows)
         return [], list(table.values)
@@ -440,6 +453,8 @@ def _cmd_ideal_count(args):
 
 
 def _cmd_zeta(args):
+    from .zeta import zeta_partial
+
     try:
         s = Fraction(args.s)
     except (ValueError, ZeroDivisionError):
@@ -449,6 +464,8 @@ def _cmd_zeta(args):
 
 
 def _cmd_radix_encode(args):
+    from .radix import encode
+
     base = parse_radix_base(args.base)
     digits = encode(parse_element(args.element), base)
     lines = [f"base {base}", f"digits (msd first): {digits}"]
@@ -456,6 +473,8 @@ def _cmd_radix_encode(args):
 
 
 def _cmd_radix_decode(args):
+    from .radix import DigitString, GaussBase, decode
+
     base = parse_radix_base(args.base)
     try:
         msd_digits = [int(d) for d in args.digits.replace(",", " ").split()]
@@ -559,10 +578,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         lines, payload = args.handler(args)
-    except (*DOMAIN_ERRORS, ValueError) as exc:  # ParseError is a ValueError
+    except (DomainError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, DOMAIN_ERRORS) else 1
+        return 2 if isinstance(exc, DomainError) else 1
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .numtheory import DomainError
 from .scalars import (
     GaussianRational,
     MixedScalarError,
@@ -30,7 +31,7 @@ from .scalars import (
 CONJUGATION_AXES = ("i", "j", "k")
 
 
-class NullConeError(ZeroDivisionError):
+class NullConeError(DomainError, ZeroDivisionError):
     """Raised when inverting (or otherwise requiring invertibility of) a
     bicomplex number with a zero idempotent component."""
 

@@ -25,7 +25,13 @@ _PSI_12 = 318665857834031151167461
 RHO_STEP_LIMIT = 3 << 20
 
 
-class WorkBudgetError(ArithmeticError):
+class DomainError(Exception):
+    """Marker base of the errors that mean the input lies outside the domain
+    of an operation rather than being malformed; each also keeps a builtin
+    base, so ``except ZeroDivisionError`` and the like still catch it."""
+
+
+class WorkBudgetError(DomainError, ArithmeticError):
     """Factoring an integer needs more than ``RHO_STEP_LIMIT`` rho steps."""
 
 

@@ -38,12 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement
+from .numtheory import DomainError
 from .scalars import as_fraction, as_gaussian
 
 ITERATION_CAP = 10_000
 
 
-class NonTerminationError(ArithmeticError):
+class NonTerminationError(DomainError, ArithmeticError):
     """The digit expansion does not terminate for this input."""
 
 

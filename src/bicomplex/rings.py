@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .element import BicomplexElement, NullConeError
 from .gaussian import canonical_gaussian_associate, factor_gaussian, is_gaussian_prime
-from .numtheory import factorint, is_prime
+from .numtheory import DomainError, factorint, is_prime
 from .scalars import QuadRational, as_fraction, as_gaussian, is_squarefree_int
 
 
@@ -34,7 +34,7 @@ class UnsupportedRingError(ValueError):
     """The operation is not available over this extension's components."""
 
 
-class UnitInputError(ValueError):
+class UnitInputError(DomainError, ValueError):
     """Factorization input is a unit."""
 
 

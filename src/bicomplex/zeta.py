@@ -25,7 +25,7 @@ from operator import add, mul, truediv
 
 from .element import BicomplexElement
 from .gaussian import canonical_gaussian_associate
-from .numtheory import factorint
+from .numtheory import DomainError, factorint
 from .rings import (
     ExtensionDescriptor,
     Field,
@@ -40,7 +40,7 @@ from .rings import (
 )
 
 
-class DegenerateIdealError(ValueError):
+class DegenerateIdealError(DomainError, ValueError):
     """Norm (or zeta membership) requested for a zero or degenerate ideal."""
 
 
@@ -264,10 +264,19 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     to right by plain float addition, so the value does not depend on the
     Python version (``sum`` compensates float sums from 3.12 on).  Terms
     with a(n) = 0 add 0.0, which leaves the sum unchanged.
+
+    A term whose n^s is 1e300 or more is below half an ulp of a sum that is
+    at least a(1) = 1, so the sum stops before it and stays bit-identical;
+    this keeps n^s inside the float range.  An ``s`` too large for a float
+    is infinite and leaves only a(1).
     """
-    s = float(s)
+    try:
+        s = float(s)
+    except OverflowError:
+        s = math.inf if s > 0 else -math.inf
     if not s > 1:
         raise ValueError("zeta partial sums need s > 1")
+    n_max = min(n_max, int(10 ** (300 / s)))
     table = coefficient_table(field_or_extension, n_max)
     return reduce(add, map(truediv, table.values, map(pow, range(1, n_max + 1), repeat(s))))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bicomplex
-from bicomplex import polys
+from bicomplex import minpoly, polys
 from bicomplex.cli import (
     ParseError,
     idempotent_literal,
@@ -23,6 +23,7 @@ from bicomplex.cli import (
     parse_table_key,
 )
 from bicomplex.element import BicomplexElement, format_cartesian
+from bicomplex.minpoly import minpoly_bicomplex
 from bicomplex.numtheory import RHO_STEP_LIMIT
 from bicomplex.polys import Poly, format_poly
 from bicomplex.radix import GaussBase, HypGaussBase, HypSplitBase
@@ -238,6 +239,26 @@ def test_cli_roots_bicomplex_rejects_a_repeated_root(capsys):
     code, out, err = run(capsys, "roots", "--poly", "4*X^2+4*X+1", "--bicomplex")
     assert (code, out) == (1, "")
     assert "defined for squarefree polynomials only" in err
+
+
+def test_cli_roots_element_bicomplex_computes_the_minpoly_once(capsys, monkeypatch):
+    calls = []
+
+    def spy(element):
+        calls.append(element)
+        return minpoly_bicomplex(element)
+
+    monkeypatch.setattr(minpoly, "minpoly_bicomplex", spy)
+    code, out, _ = run(capsys, "roots", "--element", "1+i+j-k", "--bicomplex", "--json")
+    assert code == 0 and len(json.loads(out)["off_plane"]["roots"]) == 4
+    assert calls == [parse_element("1+i+j-k")]
+
+
+@pytest.mark.parametrize("s", ["100000", "1e400"])
+def test_cli_zeta_exponent_past_the_float_range(capsys, s):
+    # n^s overflows a float for n >= 2, and 1e400 itself does: only a(1) = 1 is left
+    code, out, err = run(capsys, "zeta", "--K", "Q", "--s", s, "--N", "10")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -191,6 +191,19 @@ def test_zeta_partial_is_the_plain_left_to_right_sum(key):
         assert zeta_partial(key, s, n_max).hex() == total.hex()
 
 
+@pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
+def test_zeta_partial_past_the_float_range(key):
+    # From n = 114 on, n^150 is beyond the float range; the sum stops before
+    # n^s reaches 1e300 and is still the exact partial sum rounded to a float.
+    values = coefficient_table(key, 200).values
+    exact = sum(Fraction(a, n ** 150) for n, a in enumerate(values, start=1))
+    assert zeta_partial(key, 150, 200) == float(exact) == 1.0
+    # An exponent too large for a float leaves only a(1) = 1.
+    assert zeta_partial(key, Fraction(10) ** 400, 200) == 1.0
+    with pytest.raises(ValueError):
+        zeta_partial(key, -Fraction(10) ** 400, 200)
+
+
 def test_coefficient_table_errors():
     with pytest.raises(UnsupportedRingError):
         coefficient_table(QuadraticField(-3), 10)
