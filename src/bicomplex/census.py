@@ -71,8 +71,8 @@ def census(p: IntPoly) -> Census:
 
     The squarefree test is a gcd(p, p') mod a word-size prime (the integer
     remainder sequence when that is not constant), and the real roots are
-    counted by Descartes bisection on integer Taylor shifts; see
-    :func:`polys.sturm_real_root_count`.
+    counted by continued fractions under Descartes' rule of signs on integer
+    Taylor shifts; see :func:`polys.sturm_real_root_count`.
     """
     if p.degree < 1:
         raise ValueError("census needs degree >= 1")

@@ -9,13 +9,14 @@ throughout this package (primitive, positive leading coefficient).
 Products are one integer convolution over common denominators, and the gcd
 one integer pseudo-remainder sequence.  A gcd(p, p') mod one word-size prime
 proves most polynomials squarefree without it.  Real roots are counted by
-Descartes' rule of signs on integer Taylor shifts, bisecting (0, 1) after
-scaling every positive root into it.
+Descartes' rule of signs on integer Taylor shifts, as continued fractions
+that step past a lower bound on the positive roots.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,8 +248,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # The squarefree test's prime, the largest below 2^30: one CPython digit.
 _MODULUS = (1 << 30) - 35
 # Taylor-shift word additions a real-root count may take: n(n + 1) times the
-# 64-bit words of the largest coefficient, per bisection node of degree n.
-# About 1.5 s on a 2.1 GHz core; the test suite's inputs need at most 1.2e6.
+# 64-bit words of the largest coefficient, per Taylor shift of degree n.
+# About 2 s on a 2.0 GHz core; the test suite's inputs need at most 7.7e7
+# (Mignotte's cluster at degree 60).
 ISOLATION_WORK_LIMIT = 1 << 30
 
 
@@ -267,58 +269,95 @@ def is_squarefree(p: IntPoly) -> bool:
     return len(a) == 1 or len(_remainder_gcd(p.coeffs, dp)) == 1
 
 
-def _shifted(c):
-    """Yield the coefficients of f(x + 1), lowest degree first, where c lists
-    those of f highest first: pass k of synthetic division by x - 1 fixes one."""
-    c = list(c)
-    for k in range(len(c), 0, -1):
-        c[:k] = itertools.accumulate(c[:k])
-        yield c[k - 1]
+def _shifted(c) -> list[int]:
+    """The coefficients of f(x + 1), lowest degree first, where c lists those
+    of f highest first: pass k of synthetic division by x - 1 fixes one."""
+    out = []
+    while c:
+        c = list(itertools.accumulate(c))
+        out.append(c.pop())
+    return out
+
+
+def _variations(a) -> int:
+    """Sign variations in a coefficient list, zeros skipped."""
+    signs = [c < 0 for c in a if c]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def _root_floor_log2(a) -> int:
+    """A k with 2^k below every positive root of the polynomial whose
+    coefficients, lowest first, are a (a[0] != 0, some sign variation).
+
+    That is minus the ceiling log2 of the linear local-max bound (Akritas,
+    Strzebonski & Vigklas 2008) on the positive roots of the reversal g: each
+    negative g_i takes the share g_j / 2^t of the largest positive g_j above
+    it, used t times so far, and log2((2^t |g_i| / g_j)^(1 / (j - i))) is at
+    most t + bitlen(g_i) - bitlen(g_j) + 1 over j - i, rounded up."""
+    g = a[::-1] if a[0] > 0 else [-c for c in reversed(a)]
+    top = len(g) - 1
+    bits, t, exponents = g[top].bit_length(), 1, []
+    for i in range(top - 1, -1, -1):
+        if (c := g[i]) < 0:
+            exponents.append(-((bits - t - c.bit_length() - 1) // (top - i)))
+            t += 1
+        elif c > g[top]:
+            top, bits, t = i, c.bit_length(), 1
+    return -max(exponents)
 
 
 def sturm_real_root_count(p: IntPoly) -> int:
     """Exact number of distinct real roots of a squarefree polynomial.
 
     Counts a root at 0, then the positive roots of p(x) and of p(-x) by
-    bisection under Descartes' rule of signs on integer Taylor shifts (Collins
-    & Akritas, SYMSAC 1976).  The name is from the Sturm chain it replaced.
+    Vincent-Collins-Akritas continued fractions (Akritas & Strzebonski,
+    Nonlinear Anal. Model. Control 2005): Descartes' rule of signs settles a
+    polynomial with 0 or 1 sign variations; otherwise a polynomial f whose
+    positive roots all exceed 2^k >= 1 is first replaced by f(2^k (x + 1)),
+    then split at 1 into f(x + 1) and (x + 1)^n f(1/(x + 1)), the second only
+    when Budan's theorem leaves more than one root in (0, 1) possible.  The
+    name is from the Sturm chain it replaced.
 
     >>> sturm_real_root_count(IntPoly.of(-8, 4, -2, 1))
     1
     """
     if p.degree < 1:
         raise ValueError("root counting needs degree >= 1")
-    if not is_squarefree(p):  # bisection never separates a repeated root
+    if not is_squarefree(p):  # no sign rule ever separates a repeated root
         raise ValueError("Sturm count requires a squarefree polynomial")
-    zero = int(not p.coeffs[0])
-    count, stack, work = zero, [], 0
-    for a in (p.coeffs[zero:], [-c if i % 2 else c for i, c in enumerate(p.coeffs[zero:])]):
-        # Fujiwara: every root has modulus below 2^k, so a(2^k x) has its positive
-        # roots in (0, 1).  (int.bit_length ignores the sign.)
-        n, top = len(a) - 1, a[-1].bit_length()
-        k = 1 + max([0] + [(c.bit_length() - top + n - i) // (n - i)
-                           for i, c in enumerate(a[:-1]) if c])
-        stack.append([c << (k * i) for i, c in enumerate(a)])
-    while stack:
-        q = stack.pop()
-        n = len(q) - 1
-        work += n * (n + 1) * (1 + max(map(int.bit_length, q)) // 64)
+    work = 0
+
+    def shifted(c):
+        nonlocal work
+        n = len(c) - 1
+        work += n * (n + 1) * (1 + max(map(int.bit_length, c)) // 64)
         if work > ISOLATION_WORK_LIMIT:
             raise WorkBudgetError(f"counting real roots needs more than {ISOLATION_WORK_LIMIT} "
                                   "Taylor-shift word additions")
-        # The roots of q in (0, 1) are the positive roots of (x+1)^n q(1/(x+1)),
-        # whose coefficients, highest first, are those of q(x + 1), lowest first.
-        signs = itertools.pairwise(c < 0 for c in _shifted(q) if c)
-        if (bound := sum(itertools.islice((1 for s, t in signs if s != t), 2))) < 2:
-            count += bound  # Descartes: 0 or 1 sign variations count the roots
+        return _shifted(c)
+
+    zero = int(not p.coeffs[0])
+    count, stack = zero, [p.coeffs[zero:], [-c if i % 2 else c for i, c in enumerate(p.coeffs[zero:])]]
+    while stack:  # each entry lists coefficients lowest first, with a[0] != 0
+        a = stack.pop()
+        if (v := _variations(a)) < 2:
+            count += v  # Descartes: 0 or 1 sign variations count the roots
             continue
-        half = [c << (n - i) for i, c in enumerate(q)]  # 2^n q(x/2): (0, 1/2)
-        twos = min((c & -c).bit_length() for c in half if c) - 1
-        half = [c >> twos for c in half]
-        right = list(_shifted(half[::-1]))  # half(x + 1): (1/2, 1)
-        if not right[0]:  # a root at 1/2
+        if (k := _root_floor_log2(a)) >= 0:  # roots above 2^k, so none at 0 after
+            a = shifted([c << (k * i) for i, c in enumerate(a)][::-1])
+            v = _variations(a)
+        # Roots above 1 are those of a(x + 1); roots in (0, 1) are the positive
+        # roots of (x + 1)^n a(1/(x + 1)), which is the reversal of a, shifted.
+        right = shifted(a[::-1])
+        if one := not right[0]:  # a root at 1 is the constant term of both
             count, right = count + 1, right[1:]
-        stack += [half, right]
+        stack.append(right)
+        # Budan: (0, 1] holds v - var(right) roots less an even number.
+        if (d := v - _variations(right) - one) < 2:
+            count += d
+        else:
+            left = shifted(a)
+            stack.append(left[1:] if one else left)
     return count
 
 

@@ -270,12 +270,12 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     this keeps n^s inside the float range.  An ``s`` too large for a float
     is infinite and leaves only a(1).
     """
+    if not s > 1:  # on the exact value: 1 + 10^-20 rounds to the float 1.0
+        raise ValueError("zeta partial sums need s > 1")
     try:
         s = float(s)
     except OverflowError:
-        s = math.inf if s > 0 else -math.inf
-    if not s > 1:
-        raise ValueError("zeta partial sums need s > 1")
+        s = math.inf
     n_max = min(n_max, int(10 ** (300 / s)))
     table = coefficient_table(field_or_extension, n_max)
     return reduce(add, map(truediv, table.values, map(pow, range(1, n_max + 1), repeat(s))))

@@ -163,6 +163,12 @@ def test_cli_census(capsys):
     assert (code, out.splitlines()[1:3]) == (0, ["degree: 5760", "real roots: 0"])
 
 
+def test_cli_census_counts_mignottes_cluster(capsys):
+    # x^60 - 2(10^20 x - 1)^2: two real roots about 10^-620 apart
+    code, out, _ = run(capsys, "census", "--poly", f"X^60 - {2 * 10 ** 40}*X^2 + {4 * 10 ** 20}*X - 2")
+    assert (code, out.splitlines()[1:3]) == (0, ["degree: 60", "real roots: 4"])
+
+
 def test_cli_census_exits_2_at_the_isolation_work_limit(capsys, monkeypatch):
     monkeypatch.setattr(polys, "ISOLATION_WORK_LIMIT", 10)
     code, out, err = run(capsys, "census", "--poly", "X^4 - 5*X^2 + 4")
@@ -270,6 +276,13 @@ def test_cli_bad_input_exits_1_naming_the_argument(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert named in err and "Traceback" not in err
+
+
+def test_cli_zeta_exponent_just_above_1(capsys):
+    code, out, err = run(capsys, "zeta", "--K", "Q", "--s", "1.00000000000000000001", "--N", "10")
+    assert (code, out, err) == (0, "2.92896825397\n", "")
+    code, out, err = run(capsys, "zeta", "--K", "Q", "--s", "1", "--N", "10")
+    assert (code, out) == (1, "") and "s > 1" in err
 
 
 def test_cli_zeta_accepts_fraction_and_decimal_exponents(capsys):

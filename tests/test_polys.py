@@ -242,13 +242,15 @@ def test_sturm_against_constructed_roots_and_grid():
         assert _grid_sign_changes(prim) == real_count
 
 
-def _known_real_roots_product(rng) -> tuple[IntPoly, int]:
-    """A squarefree product with a known number of distinct real roots, drawn
-    from the cases bisection must get right: a root at 0, roots at the dyadic
-    midpoints +-1/2, +-1/4, +-3/4, roots beyond 2^40, close root pairs, and
-    complex pairs close to the real axis."""
-    dyadic = [Fraction(s * m, 4) for s in (1, -1) for m in (1, 2, 3)]
+def _known_real_roots_product(rng) -> tuple[IntPoly, set[Fraction]]:
+    """A squarefree product and its distinct real roots, drawn from the cases
+    root counting must get right: a root at 0, at +-1 (where each
+    continued-fraction node splits), at +-2^k (the edge of a lower-bound
+    step), at the dyadic midpoints +-1/2, +-1/4, +-3/4, roots beyond 2^40,
+    close root pairs, and complex pairs close to the real axis."""
+    dyadic = [Fraction(s * m, 4) for s in (1, -1) for m in (1, 2, 3, 4)]
     roots = set(rng.sample([Fraction(0), *dyadic], rng.randrange(0, 8)))
+    roots.update(rng.sample([Fraction(s << k) for s in (1, -1) for k in range(41)], rng.randrange(0, 3)))
     for _ in range(rng.randrange(0, 3)):
         roots.add(Fraction(rng.choice((1, -1)) * rng.randrange(1 << 42, 1 << 48), rng.randrange(1, 4)))
     for _ in range(rng.randrange(0, 3)):
@@ -265,15 +267,49 @@ def _known_real_roots_product(rng) -> tuple[IntPoly, int]:
         quadratics.add((t * t + eps * eps, -2 * t))  # roots t +- eps*i
     for c, b in quadratics:
         poly = poly * Poly.of(c, b, 1)
-    return content_primitive(poly)[1], len(roots)
+    return content_primitive(poly)[1], roots
 
 
 def test_descartes_count_on_midpoint_large_and_close_roots():
     rng = random.Random(2026)
     for _ in range(150):
-        p, real = _known_real_roots_product(rng)
+        p, roots = _known_real_roots_product(rng)
         assert is_squarefree(p)
-        assert sturm_real_root_count(p) == real
+        assert sturm_real_root_count(p) == len(roots)
+
+
+def test_root_count_at_the_split_point():
+    # A root at 1 is the constant term of both children of a node: count it once.
+    for roots in ((1, Fraction(1, 2), 3), (-1, Fraction(-1, 2), -3), (0, 1, 2), (1, 2, 4, 8)):
+        poly = Poly.one()
+        for r in roots:
+            poly = poly * Poly.of(-r, 1)
+        assert sturm_real_root_count(content_primitive(poly)[1]) == len(roots)
+
+
+def test_root_floor_log2_is_below_every_positive_root():
+    # The bound is rounded so that 2^k stays strictly below the least positive
+    # root, also when that root is a power of two; otherwise the shifted
+    # polynomial a(2^k (x + 1)) could have a root at 0.
+    rng = random.Random(2013)
+    for _ in range(300):
+        p, roots = _known_real_roots_product(rng)
+        if positive := [r for r in roots if r > 0]:
+            a = p.coeffs[1:] if 0 in roots else p.coeffs
+            assert Fraction(2) ** polys._root_floor_log2(a) < min(positive)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (20, 40, 60) for m in (10, 20)])
+def test_root_count_separates_mignottes_cluster(n, m):
+    # x^n - 2(10^m x - 1)^2 has four real roots, two of them about
+    # 10^(-m(n/2 + 1)) apart: one bisection level per bit would not reach them.
+    a = 10 ** m
+    assert sturm_real_root_count(IntPoly.of(-2, 4 * a, -2 * a * a, *[0] * (n - 3), 1)) == 4
+
+
+def test_root_count_of_cyclotomic_polynomials():
+    # The roots of Phi_n lie on the unit circle and crowd +-1; only 1 and -1 are real.
+    assert [sturm_real_root_count(cyclotomic(n)) for n in range(1, 201)] == [1, 1] + [0] * 198
 
 
 def test_descartes_count_of_a_degree_25_product_of_100_bit_factors():

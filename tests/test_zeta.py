@@ -249,6 +249,17 @@ def test_zeta_partial():
         zeta_partial(Q_FIELD, 1, 100)
 
 
+def test_zeta_partial_checks_s_before_rounding_it():
+    # 1 + 10^-20 > 1, though it rounds to the float 1.0: the harmonic sum H_10.
+    harmonic = 0.0
+    for n in range(1, 11):
+        harmonic += 1 / n
+    assert zeta_partial(Q_FIELD, 1 + Fraction(1, 10 ** 20), 10) == harmonic
+    for s in (1, Fraction(1), 1.0, 1 - Fraction(1, 10 ** 20), float("nan")):
+        with pytest.raises(ValueError):
+            zeta_partial(Q_FIELD, s, 10)
+
+
 def test_brute_force_ideal_count():
     assert brute_force_ideal_count(GAUSSIAN_FIELD, 5) == 2
     assert brute_force_ideal_count(GAUSSIAN_FIELD, 3) == 0
