@@ -9,7 +9,8 @@ Exit codes: 0 on success, 1 on usage errors (bad syntax, unknown flags or
 descriptors), 2 on domain errors (null cone, non-terminating expansions,
 degenerate ideals, factoring a unit, an integer that rho cannot split within
 ``numtheory.RHO_STEP_LIMIT`` steps, a real-root count past
-``polys.ISOLATION_WORK_LIMIT``); these are the subclasses of
+``polys.ISOLATION_WORK_LIMIT``, a fundamental unit past
+``rings.PELL_BIT_LIMIT`` bits); these are the subclasses of
 ``numtheory.DomainError``.
 
 Each ``_cmd_*`` handler returns (text lines, JSON payload) and prints

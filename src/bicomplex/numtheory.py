@@ -32,7 +32,9 @@ class DomainError(Exception):
 
 
 class WorkBudgetError(DomainError, ArithmeticError):
-    """Factoring an integer needs more than ``RHO_STEP_LIMIT`` rho steps."""
+    """An operation needs more than its work budget: ``RHO_STEP_LIMIT`` rho
+    steps to factor an integer, ``polys.ISOLATION_WORK_LIMIT`` to count real
+    roots, or ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit."""
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:

@@ -1,15 +1,14 @@
 """Rings of integers of bicomplex extensions K1*e1 + K2*e2.
 
-The component fields are the rationals or quadratic fields Q(sqrt(D)); the
-ring of integers, its discriminant and its unit group all decompose
-componentwise.  Unique factorization into prime elements is implemented for
-the two principal component rings exercised here, the plain integers and
-the Gaussian integers.  :func:`component_ring` is the one map from a field
-to its component ring's operations (canonical associate, primality,
-factorization); associates, prime elements, factorization and the ideals of
-:mod:`bicomplex.zeta` all go through it.  Prime elements are, up to units,
-e1, e2 and the two nondegenerate shapes pi*e1 + e2 and e1 + pi*e2 with pi
-prime in its component ring.
+The component fields are the rationals or quadratic fields Q(sqrt(D)).  The
+ring of integers, its discriminant and its unit group decompose
+componentwise, and :class:`RationalField` and :class:`QuadraticField` own
+the arithmetic of their component: trace, norm, integrality, integral basis,
+discriminant and unit order, and for the two principal component rings
+exercised here, Z and Z[i], the canonical associate, primality and
+factorization (other fields raise UnsupportedRingError).  Prime elements
+are, up to units, e1, e2 and the two nondegenerate shapes pi*e1 + e2 and
+e1 + pi*e2 with pi prime in its component ring.
 
 Elements of an extension are representable as BicomplexElement values
 whenever at most one radicand occurs among the two component fields (always
@@ -20,14 +19,19 @@ support the purely numeric operations (discriminant, unit group order).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement, NullConeError
 from .gaussian import canonical_gaussian_associate, factor_gaussian, is_gaussian_prime
-from .numtheory import DomainError, factorint, is_prime
+from .numtheory import DomainError, WorkBudgetError, factorint
+from .numtheory import is_prime as is_rational_prime
 from .scalars import QuadRational, as_fraction, as_gaussian, is_squarefree_int
+
+# A fundamental unit this long has at most 4215 decimal digits, so every
+# witness prints under CPython's 4300-digit int-to-str limit; the continued
+# fraction passes it within about 20 ms when the unit is larger.
+PELL_BIT_LIMIT = 14000
 
 
 class UnsupportedRingError(ValueError):
@@ -40,28 +44,113 @@ class UnitInputError(DomainError, ValueError):
 
 @dataclass(frozen=True)
 class RationalField:
-    @property
-    def degree(self) -> int:
-        return 1
+    """Q: scalars are rational values and the ring of integers is Z, whose
+    canonical associates are positive."""
+
+    degree = 1
+    discriminant = 1
+    unit_order = 2
 
     def __str__(self) -> str:
         return "Q"
 
+    def trace(self, x) -> Fraction:
+        """x itself, as is the norm: Q is the base field."""
+        return as_fraction(x)
+
+    norm = trace
+
+    def is_integral(self, x) -> bool:
+        return as_fraction(x).denominator == 1
+
+    def integral_basis(self) -> list:
+        return [Fraction(1)]
+
+    def _require_factorization(self):
+        """Z has unique factorization: nothing to refuse."""
+
+    def associate(self, x) -> tuple[Fraction, Fraction]:
+        """(unit, canonical) with x = unit * canonical for nonzero integral x."""
+        x = as_fraction(x)
+        return (Fraction(1), x) if x > 0 else (Fraction(-1), -x)
+
+    def is_prime(self, x) -> bool:
+        return is_rational_prime(abs(as_fraction(x).numerator))
+
+    def factor(self, x) -> tuple[Fraction, list[tuple[Fraction, int]]]:
+        """The unit and the canonical (prime, exponent) pairs of x."""
+        n = as_fraction(x).numerator
+        pairs = [(Fraction(p), e) for p, e in sorted(factorint(n).items())]
+        return Fraction(-1 if n < 0 else 1), pairs
+
 
 @dataclass(frozen=True)
 class QuadraticField:
+    """Q(sqrt(D)): scalars are rationals and quadratic rationals of radicand
+    D.  Only Q(i), whose ring of integers Z[i] has canonical associates in
+    the first quadrant, supports associates, primality and factorization."""
+
     D: int
+    degree = 2
 
     def __post_init__(self):
         if self.D in (0, 1) or not is_squarefree_int(self.D):
             raise ValueError(f"field radicand must be squarefree and not 0 or 1: {self.D}")
 
-    @property
-    def degree(self) -> int:
-        return 2
-
     def __str__(self) -> str:
         return "Q(i)" if self.D == -1 else f"Q(sqrt:{self.D})"
+
+    def _parts(self, x) -> tuple[Fraction, Fraction]:
+        """x as a + b*sqrt(D); ValueError when x does not lie in the field."""
+        if isinstance(x, QuadRational) and x.b:
+            if x.D != self.D:
+                raise ValueError(f"{x!r} does not lie in {self}")
+            return x.a, x.b
+        return as_fraction(x), Fraction(0)
+
+    def trace(self, x) -> Fraction:
+        return 2 * self._parts(x)[0]
+
+    def norm(self, x) -> Fraction:
+        a, b = self._parts(x)
+        return a * a - self.D * b * b
+
+    def is_integral(self, x) -> bool:
+        """Integral trace and norm (covers the half-integer basis when
+        D = 1 mod 4)."""
+        a, b = self._parts(x)
+        return (2 * a).denominator == 1 and (a * a - self.D * b * b).denominator == 1
+
+    def integral_basis(self) -> list:
+        """{1, sqrt(D)} or, when D = 1 (mod 4), {1, (1 + sqrt(D))/2}."""
+        if self.D % 4 == 1:
+            return [Fraction(1), QuadRational(self.D, Fraction(1, 2), Fraction(1, 2))]
+        return [Fraction(1), QuadRational(self.D, 0, 1)]
+
+    @property
+    def discriminant(self) -> int:
+        return self.D if self.D % 4 == 1 else 4 * self.D
+
+    @property
+    def unit_order(self) -> int | None:
+        """The order of the unit group of O_K; None (infinite) when D > 0."""
+        return None if self.D > 0 else {-1: 4, -3: 6}.get(self.D, 2)
+
+    def _require_factorization(self):
+        if self.D != -1:
+            raise UnsupportedRingError(f"no element factorization over {self}")
+
+    def associate(self, x) -> tuple[QuadRational, QuadRational]:
+        self._require_factorization()
+        return canonical_gaussian_associate(as_gaussian(x))
+
+    def is_prime(self, x) -> bool:
+        self._require_factorization()
+        return is_gaussian_prime(as_gaussian(x))
+
+    def factor(self, x) -> tuple[QuadRational, list[tuple[QuadRational, int]]]:
+        self._require_factorization()
+        return factor_gaussian(as_gaussian(x))
 
 
 Field = RationalField | QuadraticField
@@ -90,103 +179,42 @@ QH = ExtensionDescriptor(Q_FIELD, Q_FIELD)
 QB = ExtensionDescriptor(GAUSSIAN_FIELD, GAUSSIAN_FIELD)
 
 
-# -- scalars against component fields ---------------------------------------
-
-def quad_parts(scalar, field: Field) -> tuple[Fraction, Fraction]:
-    """Write a scalar as a + b*sqrt(D) inside the given field.
-
-    For the rational field b must vanish.  Raises ValueError when the value
-    does not lie in the field.
-    """
-    if isinstance(field, QuadraticField) and isinstance(scalar, QuadRational) and scalar.b:
-        if scalar.D != field.D:
-            raise ValueError(f"{scalar!r} does not lie in {field}")
-        return scalar.a, scalar.b
-    return as_fraction(scalar), Fraction(0)
-
-
-def scalar_in_field(scalar, field: Field) -> bool:
-    try:
-        quad_parts(scalar, field)
-        return True
-    except ValueError:
-        return False
-
-
-def scalar_is_integral(scalar, field: Field) -> bool:
-    """Integrality in O_K: an integer for Q, integral trace and norm for
-    quadratic fields (covers the half-integer basis when D = 1 mod 4)."""
-    a, b = quad_parts(scalar, field)
-    if isinstance(field, RationalField):
-        return a.denominator == 1
-    norm = a * a - field.D * b * b
-    return (2 * a).denominator == 1 and norm.denominator == 1
-
-
-def scalar_field_trace(scalar, field: Field) -> Fraction:
-    a, _ = quad_parts(scalar, field)
-    return a if isinstance(field, RationalField) else 2 * a
-
-
-def scalar_field_norm(scalar, field: Field) -> Fraction:
-    a, b = quad_parts(scalar, field)
-    return a if isinstance(field, RationalField) else a * a - field.D * b * b
-
-
-def scalar_is_ring_unit(scalar, field: Field) -> bool:
-    return scalar_is_integral(scalar, field) and abs(scalar_field_norm(scalar, field)) == 1
-
-
 def _has_element_type(L: ExtensionDescriptor) -> bool:
     """Whether elements of L are BicomplexElement values: two different
     quadratic component fields share no scalar type."""
-    return len({K.D for K in (L.K1, L.K2) if isinstance(K, QuadraticField)}) < 2
+    return L.K1 == L.K2 or 1 in (L.K1.degree, L.K2.degree)
 
 
 # -- ring of integers --------------------------------------------------------
 
 def is_integral(element: BicomplexElement, L: ExtensionDescriptor) -> bool:
-    """Whether both components are algebraic integers of their fields."""
-    if not (scalar_in_field(element.c1, L.K1) and scalar_in_field(element.c2, L.K2)):
-        raise ValueError(f"{element} does not lie in {L}")
-    return (scalar_is_integral(element.c1, L.K1)
-            and scalar_is_integral(element.c2, L.K2))
-
-
-def _integral_basis_scalars(field: Field) -> list:
-    if isinstance(field, RationalField):
-        return [Fraction(1)]
-    if field.D % 4 == 1:
-        return [Fraction(1), QuadRational(field.D, Fraction(1, 2), Fraction(1, 2))]
-    return [Fraction(1), QuadRational(field.D, 0, 1)]
+    """Whether both components are algebraic integers of their fields;
+    ValueError when either lies outside its field, whatever the other is."""
+    try:
+        integral = L.K1.is_integral(element.c1), L.K2.is_integral(element.c2)
+    except ValueError:
+        raise ValueError(f"{element} does not lie in {L}") from None
+    return all(integral)
 
 
 def integral_basis(L: ExtensionDescriptor) -> list[BicomplexElement]:
     """A Z-basis of the ring of integers: e1 times a basis of O_K1 followed
-    by e2 times a basis of O_K2.  Quadratic components use {1, sqrt(D)} or,
-    when D = 1 (mod 4), {1, (1 + sqrt(D))/2}."""
+    by e2 times a basis of O_K2."""
     if not _has_element_type(L):
         raise UnsupportedRingError(f"components of {L} have two different radicands")
-    basis = [BicomplexElement(b, 0) for b in _integral_basis_scalars(L.K1)]
-    basis += [BicomplexElement(0, b) for b in _integral_basis_scalars(L.K2)]
+    basis = [BicomplexElement(b, 0) for b in L.K1.integral_basis()]
+    basis += [BicomplexElement(0, b) for b in L.K2.integral_basis()]
     return basis
-
-
-def field_discriminant(field: Field) -> int:
-    if isinstance(field, RationalField):
-        return 1
-    return field.D if field.D % 4 == 1 else 4 * field.D
 
 
 def discriminant(L: ExtensionDescriptor) -> int:
     """Product of the two component field discriminants."""
-    return field_discriminant(L.K1) * field_discriminant(L.K2)
+    return L.K1.discriminant * L.K2.discriminant
 
 
 def trace_to_q(element: BicomplexElement, L: ExtensionDescriptor) -> Fraction:
     """Trace of multiplication by the element on L as a Q-vector space."""
-    return (scalar_field_trace(element.c1, L.K1)
-            + scalar_field_trace(element.c2, L.K2))
+    return L.K1.trace(element.c1) + L.K2.trace(element.c2)
 
 
 def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
@@ -233,17 +261,13 @@ class UnitGroupInfo:
     infinite_witness: BicomplexElement | None = None
 
 
-def _component_unit_order(field: Field) -> int | None:
-    if isinstance(field, RationalField):
-        return 2
-    if field.D > 0:
-        return None
-    return {-1: 4, -3: 6}.get(field.D, 2)
-
-
 def pell_fundamental_unit(D: int) -> tuple[int, int]:
-    """Smallest (x, y), y > 0, with x^2 - D*y^2 = +-1, via the continued
-    fraction of sqrt(D)."""
+    """Smallest (x, y), y > 0, with x^2 - D*y^2 = +-1.
+
+    It is the convergent of sqrt(D) just before the end of the first period
+    of the continued fraction, where the partial quotient is 2*a0.  Raises
+    WorkBudgetError once a convergent passes ``PELL_BIT_LIMIT`` bits.
+    """
     if D <= 1:
         raise ValueError("needs D > 1")
     a0 = math.isqrt(D)
@@ -252,13 +276,17 @@ def pell_fundamental_unit(D: int) -> tuple[int, int]:
     m, d, a = 0, 1, a0
     num_prev, num = 1, a0
     den_prev, den = 0, 1
-    while num * num - D * den * den not in (1, -1):
+    while True:
         m = d * a - m
         d = (D - m * m) // d
         a = (a0 + m) // d
+        if a == 2 * a0:
+            return num, den
         num_prev, num = num, a * num + num_prev
         den_prev, den = den, a * den + den_prev
-    return num, den
+        if num.bit_length() > PELL_BIT_LIMIT:
+            raise WorkBudgetError(f"the fundamental unit of Q(sqrt:{D}) needs more than "
+                                  f"{PELL_BIT_LIMIT} bits")
 
 
 def unit_group(L: ExtensionDescriptor) -> UnitGroupInfo:
@@ -270,78 +298,37 @@ def unit_group(L: ExtensionDescriptor) -> UnitGroupInfo:
     infinite group; a fundamental solution of the Pell equation witnesses a
     unit of infinite order.
     """
-    orders = (_component_unit_order(L.K1), _component_unit_order(L.K2))
+    orders = (L.K1.unit_order, L.K2.unit_order)
     if None in orders:
         witness = None
         if _has_element_type(L):
-            slots = [QuadRational(K.D, *pell_fundamental_unit(K.D))
-                     if isinstance(K, QuadraticField) and K.D > 0 else 1
-                     for K in (L.K1, L.K2)]
-            witness = BicomplexElement(*slots)
+            witness = BicomplexElement(*[
+                1 if order else QuadRational(K.D, *pell_fundamental_unit(K.D))
+                for K, order in zip((L.K1, L.K2), orders)])
         return UnitGroupInfo(False, None, "infinite",
                              "infinite (contains a unit of infinite order)", witness)
-    rational_count = sum(isinstance(K, RationalField) for K in (L.K1, L.K2))
-    unit_class = {2: "C1", 1: "C2", 0: "C3"}[rational_count]
+    unit_class = {2: "C1", 3: "C2", 4: "C3"}[L.degree]
     return UnitGroupInfo(True, orders[0] * orders[1], unit_class,
                          f"Z/{orders[0]} x Z/{orders[1]}")
 
 
 def is_unit(element: BicomplexElement, L: ExtensionDescriptor) -> bool:
-    return (scalar_is_ring_unit(element.c1, L.K1)
-            and scalar_is_ring_unit(element.c2, L.K2))
-
-
-# -- component rings ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComponentRing:
-    """The operations of Z or Z[i] on scalars of the component field:
-    ``associate`` splits a nonzero integral scalar as unit * canonical,
-    ``is_prime`` decides primality of an integral scalar, and ``factor``
-    returns the unit and canonical (prime, exponent) pairs."""
-
-    associate: Callable
-    is_prime: Callable
-    factor: Callable
-
-
-def _z_associate(scalar):
-    value = as_fraction(scalar)
-    return (Fraction(1), value) if value > 0 else (Fraction(-1), -value)
-
-
-def _z_factor(scalar):
-    n = as_fraction(scalar).numerator
-    return Fraction(-1 if n < 0 else 1), [(Fraction(p), e) for p, e in sorted(factorint(n).items())]
-
-
-_INTEGERS = ComponentRing(_z_associate, lambda x: is_prime(abs(as_fraction(x).numerator)),
-                          _z_factor)
-_GAUSSIAN_INTEGERS = ComponentRing(lambda x: canonical_gaussian_associate(as_gaussian(x)),
-                                   lambda x: is_gaussian_prime(as_gaussian(x)),
-                                   lambda x: factor_gaussian(as_gaussian(x)))
-
-
-def component_ring(field: Field) -> ComponentRing:
-    """Z for Q and Z[i] for Q(i), the component rings with element
-    factorization; any other field raises UnsupportedRingError."""
-    if isinstance(field, RationalField):
-        return _INTEGERS
-    if field.D == -1:
-        return _GAUSSIAN_INTEGERS
-    raise UnsupportedRingError(f"no element factorization over {field}")
+    K1, K2, c1, c2 = L.K1, L.K2, element.c1, element.c2
+    return (K1.is_integral(c1) and abs(K1.norm(c1)) == 1
+            and K2.is_integral(c2) and abs(K2.norm(c2)) == 1)
 
 
 def component_class(scalar, field: Field) -> str:
-    """'zero', 'unit', 'prime' or 'other' in the component ring of field."""
-    ring = component_ring(field)
+    """'zero', 'unit', 'prime' or 'other' in the component ring of field;
+    UnsupportedRingError first when that ring has no element factorization."""
+    field._require_factorization()
     if not scalar:
         return "zero"
-    if not scalar_is_integral(scalar, field):
+    if not field.is_integral(scalar):
         return "other"
-    if abs(scalar_field_norm(scalar, field)) == 1:
+    if abs(field.norm(scalar)) == 1:
         return "unit"
-    return "prime" if ring.is_prime(scalar) else "other"
+    return "prime" if field.is_prime(scalar) else "other"
 
 
 # -- canonical associates and prime elements ----------------------------------
@@ -355,8 +342,8 @@ def canonical_associate(element: BicomplexElement, L: ExtensionDescriptor
     """
     if element.in_null_cone:
         raise NullConeError("null-cone elements have no canonical associate")
-    u1, n1 = component_ring(L.K1).associate(element.c1)
-    u2, n2 = component_ring(L.K2).associate(element.c2)
+    u1, n1 = L.K1.associate(element.c1)
+    u2, n2 = L.K2.associate(element.c2)
     return BicomplexElement(u1, u2), BicomplexElement(n1, n2)
 
 
@@ -412,7 +399,8 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     Raises NullConeError for elements of zero norm and UnitInputError for
     units; the recomposition unit * prod(prime^exp) is exact.
     """
-    ring1, ring2 = component_ring(L.K1), component_ring(L.K2)
+    L.K1._require_factorization()
+    L.K2._require_factorization()
     if not is_integral(element, L):
         raise ValueError(f"{element} is not integral in {L}")
     if element.in_null_cone:
@@ -420,8 +408,8 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     if is_unit(element, L):
         raise UnitInputError(f"{element} is a unit of {L}")
 
-    unit1, pairs1 = ring1.factor(element.c1)
-    unit2, pairs2 = ring2.factor(element.c2)
+    unit1, pairs1 = L.K1.factor(element.c1)
+    unit2, pairs2 = L.K2.factor(element.c2)
     entries = [(BicomplexElement(p, 1), e, "prime_e1") for p, e in pairs1]
     entries += [(BicomplexElement(1, p), e, "prime_e2") for p, e in pairs2]
     entries.sort(key=_prime_sort_key)
@@ -445,7 +433,7 @@ def rational_prime_profile(p: int, L: ExtensionDescriptor) -> PrimeProfile:
     Gaussian-component ring p = 3 (mod 4) stays semiprime while p = 1
     (mod 4) and p = 2 contribute four prime factors with multiplicity.
     """
-    if not is_prime(p):
+    if not is_rational_prime(p):
         raise ValueError(f"{p} is not prime")
     decomposition = factor(BicomplexElement(p, p), L)
     count = sum(e for _, e in decomposition.factors)

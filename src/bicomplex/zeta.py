@@ -2,10 +2,10 @@
 
 Ideals decompose componentwise; here they are represented by principal
 component generators (the component rings exercised, Z and Z[i], are
-principal), normalized and classified by the component ring operations of
-:func:`bicomplex.rings.component_ring`.  The two degenerate ideals
-generated by the idempotents are prime but carry no norm and are excluded
-from the zeta index set.
+principal), normalized and classified by the methods of their component
+field (:class:`bicomplex.rings.RationalField` or ``QuadraticField``).  The
+two degenerate ideals generated by the idempotents are prime but carry no
+norm and are excluded from the zeta index set.
 
 Ideal counts are multiplicative: the rationals have one ideal per norm, and
 the Gaussian integers have r(n)/4 ideals of norm n, with r the
@@ -24,20 +24,10 @@ from itertools import compress, repeat
 from operator import add, mul, truediv
 
 from .element import BicomplexElement
-from .gaussian import canonical_gaussian_associate
 from .numtheory import DomainError, factorint
-from .rings import (
-    ExtensionDescriptor,
-    Field,
-    GAUSSIAN_FIELD,
-    QuadraticField,
-    RationalField,
-    UnsupportedRingError,
-    component_class,
-    component_ring,
-    scalar_field_norm,
-    scalar_is_integral,
-)
+from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, UnsupportedRingError,
+                    component_class)
+from .scalars import GaussianRational
 
 
 class DegenerateIdealError(DomainError, ValueError):
@@ -73,17 +63,16 @@ class ComponentIdeal:
             return ComponentIdeal.zero()
         if kind == "unit":
             return ComponentIdeal.full()
-        if not scalar_is_integral(generator, field):
+        if not field.is_integral(generator):
             raise ValueError(f"{generator} is not integral")
-        return ComponentIdeal(ComponentIdeal.PRINCIPAL_KIND,
-                              component_ring(field).associate(generator)[1])
+        return ComponentIdeal(ComponentIdeal.PRINCIPAL_KIND, field.associate(generator)[1])
 
     def norm(self, field: Field) -> int:
         if self.kind == self.ZERO_KIND:
             raise DegenerateIdealError("the zero component ideal has no finite norm")
         if self.kind == self.FULL_KIND:
             return 1
-        return int(scalar_field_norm(self.generator, field))
+        return int(field.norm(self.generator))
 
     def is_prime(self, field: Field) -> bool:
         """Prime as a component ideal; the zero ideal is prime (the
@@ -162,7 +151,7 @@ def _local_factor(field_or_extension):
             return [sum(f1[j] * f2[i - j] for j in range(i + 1)) for i in range(e + 1)]
 
         return local
-    if isinstance(k, RationalField):
+    if k == Q_FIELD:
         return lambda r, e: [1] * (e + 1)
     if k == GAUSSIAN_FIELD:
         return _gaussian_local_factor
@@ -289,18 +278,15 @@ def brute_force_ideal_count(field: Field, n: int) -> int:
     """
     if n < 1:
         raise ValueError("needs n >= 1")
-    if isinstance(field, RationalField):
+    if field == Q_FIELD:
         return 1
-    if isinstance(field, QuadraticField) and field.D == -1:
-        from .gaussian import gaussian_int
+    if field == GAUSSIAN_FIELD:
         found = set()
         for a in range(-math.isqrt(n), math.isqrt(n) + 1):
             rest = n - a * a
             b = math.isqrt(rest)
             if b * b != rest:
                 continue
-            for bb in {b, -b}:
-                _, canonical = canonical_gaussian_associate(gaussian_int(a, bb))
-                found.add((canonical.re, canonical.im))
+            found.update(field.associate(GaussianRational(a, bb))[1] for bb in (b, -b))
         return len(found)
     raise UnsupportedRingError(f"brute-force counting not supported for {field}")

@@ -27,7 +27,7 @@ from bicomplex.minpoly import minpoly_bicomplex
 from bicomplex.numtheory import RHO_STEP_LIMIT
 from bicomplex.polys import Poly, format_poly
 from bicomplex.radix import GaussBase, HypGaussBase, HypSplitBase
-from bicomplex.rings import ExtensionDescriptor, QB, QH, QuadraticField, Q_FIELD
+from bicomplex.rings import PELL_BIT_LIMIT, ExtensionDescriptor, QB, QH, QuadraticField, Q_FIELD
 from bicomplex.scalars import GaussianRational
 
 
@@ -411,6 +411,17 @@ def test_cli_factor_exits_2_at_the_rho_step_limit():
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout) == (2, "")
     assert str(RHO_STEP_LIMIT) in done.stderr and "rho steps" in done.stderr
+
+
+def test_cli_units_exits_2_at_the_pell_bit_limit():
+    # The fundamental unit of Q(sqrt(1000000007)) has more digits than
+    # CPython converts to a string; the continued fraction stops at the limit.
+    src = str(Path(bicomplex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "bicomplex.cli", "units", "--L", "custom:Q(sqrt:1000000007),Q"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(PELL_BIT_LIMIT) in done.stderr and "Traceback" not in done.stderr
 
 
 def test_cli_json_round_trips_through_parser(capsys):

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from bicomplex.element import BicomplexElement, J_UNIT, NullConeError, ONE
+from bicomplex.minpoly import conjugate_pair_poly, minpoly_component
+from bicomplex.numtheory import WorkBudgetError
 from bicomplex.rings import (
+    PELL_BIT_LIMIT,
     ExtensionDescriptor,
     GAUSSIAN_FIELD,
     QB,
@@ -17,6 +20,7 @@ from bicomplex.rings import (
     UnitInputError,
     UnsupportedRingError,
     canonical_associate,
+    component_class,
     discriminant,
     discriminant_by_trace_matrix,
     factor,
@@ -53,6 +57,59 @@ def test_is_integral():
     assert not is_integral(half, L_EISENSTEIN)
     with pytest.raises(ValueError):
         is_integral(BicomplexElement(QuadRational(5, 0, 1), QuadRational(5, 1, 0)), QH)
+    # a component outside its field is an error even when the other one
+    # already decides that the element is not integral
+    with pytest.raises(ValueError):
+        is_integral(BicomplexElement(Fraction(1, 2), QuadRational(5, 0, 1)), QH)
+
+
+SQUAREFREE_FIELDS = [QuadraticField(d) for d in range(-50, 51)
+                     if d not in (0, 1) and is_squarefree_int(d)]
+
+
+def test_field_methods_against_minimal_polynomials():
+    """Trace, norm and integrality of seeded a + b*sqrt(D) (and of rationals
+    in Q) agree with the coefficients of the characteristic polynomial from
+    :mod:`bicomplex.minpoly`: X^2 - trace*X + norm, or X - x over Q."""
+    rng = random.Random(14)
+
+    def small():
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 2, 3)))
+
+    seen = set()
+    for K in [Q_FIELD] + SQUAREFREE_FIELDS:
+        for _ in range(24):
+            a = small()
+            if K == Q_FIELD:
+                x = a
+                c0, c1 = minpoly_component(x).coeffs
+                trace = norm = Fraction(-c0, c1)
+            else:
+                b = small() or Fraction(1, 2)
+                x = QuadRational(K.D, a, b)
+                norm, minus_trace, _ = conjugate_pair_poly(x).coeffs
+                trace = -minus_trace
+            assert (K.trace(x), K.norm(x)) == (trace, norm), (K, x)
+            integral = minpoly_component(x).lead == 1
+            assert K.is_integral(x) == integral, (K, x)
+            seen.add((K.degree, integral))
+    assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_component_rings_only_for_q_and_gaussian_fields():
+    for K in (QuadraticField(2), QuadraticField(-3), QuadraticField(-5)):
+        x = QuadRational(K.D, 2, 1)
+        for method in (K.associate, K.is_prime, K.factor):
+            with pytest.raises(UnsupportedRingError):
+                method(x)
+        # refused before the zero check
+        with pytest.raises(UnsupportedRingError):
+            component_class(0, K)
+    assert Q_FIELD.associate(Fraction(-6)) == (-1, 6)
+    assert Q_FIELD.factor(Fraction(-12)) == (-1, [(2, 2), (3, 1)])
+    assert GAUSSIAN_FIELD.associate(G(0, -2)) == (G(0, -1), G(2))
+    assert [component_class(x, GAUSSIAN_FIELD) for x in (0, G(0, 1), G(1, 1), G(3), G(5))] == [
+        "zero", "unit", "prime", "prime", "other"]
 
 
 def test_integral_basis():
@@ -247,6 +304,28 @@ def test_factor_errors():
                L_EISENSTEIN)
     with pytest.raises(ValueError):
         factor(BicomplexElement(Fraction(1, 2), Fraction(3)), QH)
+    # an unsupported component ring is refused before the integrality,
+    # null-cone and unit checks
+    for element in (BicomplexElement(QuadRational(-3, Fraction(1, 2), 0), 0),
+                    BicomplexElement(QuadRational(-3, 0, 0), 1),
+                    BicomplexElement(QuadRational(-3, 1, 0), 1)):
+        with pytest.raises(UnsupportedRingError):
+            factor(element, L_EISENSTEIN)
+
+
+def _pell_by_norm_check(D):
+    """The first convergent of sqrt(D) whose norm is +-1."""
+    a0 = math.isqrt(D)
+    m, d, a = 0, 1, a0
+    num_prev, num = 1, a0
+    den_prev, den = 0, 1
+    while num * num - D * den * den not in (1, -1):
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        num_prev, num = num, a * num + num_prev
+        den_prev, den = den, a * den + den_prev
+    return num, den
 
 
 def _random_hyperbolic(rng):
@@ -324,8 +403,22 @@ def test_pell_fundamental_unit():
     assert pell_fundamental_unit(46) == (24335, 3588)
     x, y = pell_fundamental_unit(61)
     assert x * x - 61 * y * y in (1, -1) and y > 0
+    for D in range(2, 2001):
+        if math.isqrt(D) ** 2 != D:
+            assert pell_fundamental_unit(D) == _pell_by_norm_check(D), D
     with pytest.raises(ValueError):
         pell_fundamental_unit(4)
+
+
+def test_pell_fundamental_unit_stops_at_the_bit_limit():
+    x, y = pell_fundamental_unit(100000007)  # 11071 bits, inside the limit
+    assert x * x - 100000007 * y * y in (1, -1) and len(str(x)) == 3333
+    for D in (1000000007, 10000000019):
+        with pytest.raises(WorkBudgetError) as err:
+            pell_fundamental_unit(D)
+        assert str(PELL_BIT_LIMIT) in str(err.value)
+    # a unit just inside the limit still prints in decimal
+    assert len(str(2 ** PELL_BIT_LIMIT)) < 4300
 
 
 def test_radicand_squarefreeness_by_factoring():
