@@ -1,7 +1,8 @@
 """Rational integer primality and factorization at desk scale.
 
 Trial division by the odd numbers below 1000, then ``is_prime``, then
-Brent's cycle variant of Pollard's rho within ``RHO_STEP_LIMIT`` steps.
+Brent's cycle variant of Pollard's rho within ``RHO_STEP_LIMIT`` steps, a
+step on a number of 256 bits or more charged as several.
 ``is_prime`` is a proof below psi_12 = 318665857834031151167461, the least
 strong pseudoprime to the bases 2..37 (Sorenson & Webster, Math. Comp. 2017);
 from psi_12 on it is the Baillie-PSW "probable prime" test (Baillie &
@@ -21,7 +22,9 @@ import math
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
 # Rho splits psi_13 in 1.8e6 steps; 2^128 + 1, whose least prime factor is
-# near 6e16, would need about 2.4e8.
+# near 6e16, would need about 2.4e8.  A step on an n of b bits is charged
+# max(1, b // 128) steps, so every n below 2^255 is charged one per step and
+# a larger n, whose steps cost more, runs fewer of them.
 RHO_STEP_LIMIT = 3 << 20
 
 
@@ -34,7 +37,8 @@ class DomainError(Exception):
 class WorkBudgetError(DomainError, ArithmeticError):
     """An operation needs more than its work budget: ``RHO_STEP_LIMIT`` rho
     steps to factor an integer, ``polys.ISOLATION_WORK_LIMIT`` to count real
-    roots, or ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit."""
+    roots, ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit, or
+    ``zeta.TABLE_LENGTH_LIMIT`` entries for an ideal-count table."""
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
@@ -102,26 +106,32 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """A proper divisor of the odd composite n, within ``RHO_STEP_LIMIT`` steps."""
-    steps = 0
+    """A proper divisor of the odd composite n, within ``RHO_STEP_LIMIT`` steps
+    charged by the size of n."""
+    steps, charge = 0, max(1, n.bit_length() // 128)
+
+    def check_budget():
+        if steps > RHO_STEP_LIMIT:
+            raise WorkBudgetError(f"factoring {n} needs more than {RHO_STEP_LIMIT} rho steps")
+
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = 0
         while g == 1:
             x = y
+            steps += r * charge
+            check_budget()  # before the r steps, which are not checked one batch at a time
             for _ in range(r):
                 y = (y * y + c) % n
-            steps += r
             k = 0
             while k < r and g == 1:
-                if steps > RHO_STEP_LIMIT:
-                    raise WorkBudgetError(f"factoring {n} needs more than {RHO_STEP_LIMIT} rho steps")
+                check_budget()
                 ys = y
                 batch = min(m, r - k)
                 for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                steps += batch
+                steps += batch * charge
                 k += m
                 g = math.gcd(q, n)
             r *= 2

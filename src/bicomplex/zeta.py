@@ -10,10 +10,17 @@ norm and are excluded from the zeta index set.
 Ideal counts are multiplicative: the rationals have one ideal per norm, and
 the Gaussian integers have r(n)/4 ideals of norm n, with r the
 sum-of-two-squares count, whose factor at a prime p depends on how p splits
-in Z[i].  The table of any extension whose components are Q or Q(i) is the
-Dirichlet convolution of its two component tables, so its local factors are
-the Cauchy products of theirs.  :func:`coefficient_table` sieves with the
-local factors; :func:`dirichlet_convolve` is the independent oracle.
+in Z[i], that is on p mod 4.  The table of any extension whose components
+are Q or Q(i) is the Dirichlet convolution of its two component tables, so
+its local factors are the Cauchy products of theirs.
+
+:func:`coefficient_table` sieves with the local factors in two parts split
+at isqrt(N): the primes up to it one at a time, and the primes above it,
+which divide each n <= N at most once, all together by one strided byte
+copy per cofactor.  :func:`zeta_partial` sums the same counts without
+building the table tuple, and :func:`dirichlet_convolve` is the
+independent oracle.  Tables longer than ``TABLE_LENGTH_LIMIT`` are refused
+before anything is allocated.
 """
 from __future__ import annotations
 
@@ -24,10 +31,15 @@ from itertools import compress, repeat
 from operator import add, mul, truediv
 
 from .element import BicomplexElement
-from .numtheory import DomainError, factorint
+from .numtheory import DomainError, WorkBudgetError, factorint
 from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, UnsupportedRingError,
                     component_class)
 from .scalars import GaussianRational
+
+# The longest table built: a QB table of this length takes about 3 s and
+# 235 MB at peak (Python 3.11, one core); ten times more would need
+# gigabytes of Python ints.
+TABLE_LENGTH_LIMIT = 10 ** 7
 
 
 class DegenerateIdealError(DomainError, ValueError):
@@ -207,32 +219,35 @@ def dirichlet_convolve(f: CoefficientTable, g: CoefficientTable) -> CoefficientT
     return CoefficientTable(tuple(out[1:]))
 
 
-def _prime_flags(n_max: int) -> bytearray:
-    """flags[n] = 1 exactly when n <= n_max is prime (Eratosthenes)."""
-    flags = bytearray([1]) * (n_max + 1)
-    flags[:2] = b"\0\0"
+def _prime_codes(n_max: int) -> bytearray:
+    """codes[n] = 1 + n % 4 for a prime n <= n_max and 0 otherwise
+    (Eratosthenes), so a code is true exactly on the primes."""
+    codes = bytearray(b"\1\2\3\4") * (n_max // 4 + 1)
+    del codes[n_max + 1:]
+    codes[:2] = b"\0\0"
     for p in range(2, math.isqrt(n_max) + 1):
-        if flags[p]:
-            flags[p * p::p] = bytes(len(range(p * p, n_max + 1, p)))
-    return flags
+        if codes[p]:
+            codes[p * p::p] = bytes(len(range(p * p, n_max + 1, p)))
+    return codes
 
 
-def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
-    """Ideal counts a(1..N) for Q, Q(i) and any extension whose components
-    are among them.
-
-    The counts are multiplicative, so one sieve builds the table from the
-    local factors a(p^k): each prime p multiplies the entries of its
-    multiples by a(p^k) for the exact power p^k dividing them.
-    """
+def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
+    """[1, a(1), ..., a(n_max)]: the counts, indexed by n, of
+    :func:`coefficient_table`."""
     if n_max < 1:
         raise ValueError("table length must be >= 1")
     local, e_max = _local_factor(field_or_extension), n_max.bit_length()
+    if n_max > TABLE_LENGTH_LIMIT:
+        raise WorkBudgetError(f"a table of {n_max} ideal counts is longer than the limit of "
+                              f"{TABLE_LENGTH_LIMIT}")
     # 2^e_max > n_max bounds every exponent; classes whose local factor is 1
     # leave the table as it is
     by_class = {r: a for r in (1, 2, 3) if (a := local(r, e_max)) != [1] * (e_max + 1)}
     out = [1] * (n_max + 1)
-    for p in compress(range(n_max + 1), _prime_flags(n_max)):
+    if not by_class:
+        return out
+    codes, root = _prime_codes(n_max), math.isqrt(n_max)
+    for p in compress(range(root + 1), codes):
         if (a := by_class.get(p % 4)) is None:
             continue
         # factors[t] goes to the index (t+1)*p; p^k divides it when p^(k-1) divides t+1
@@ -242,7 +257,36 @@ def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
             factors[q - 1::q] = [a[k]] * (n_max // (q * p))
             k, q = k + 1, q * p
         out[p::p] = map(mul, out[p::p], factors)
-    return CoefficientTable(tuple(out[1:]))
+    # Primes above the root: n <= n_max has at most one, p, to the first
+    # power, and n = m*p with m <= n_max // (root+1).  For ascending m the
+    # copy writes codes[j] to big[m*j] for every j in (root, n_max // m].
+    # The last write to an n comes from its least divisor j above the root:
+    # when n has a large prime p that is p itself, since every divisor above
+    # the root contains p (a composite j = p*t writes first and the larger
+    # cofactor m*t overwrites it later); when n has none, j is composite and
+    # writes 0; an n <= root is never written.  Then each code becomes a(p)
+    # of its class, and 0 becomes 1.
+    big, low = bytearray(n_max + 1), root + 1
+    for m in range(1, n_max // low + 1):
+        big[m * low::m] = codes[low:n_max // m + 1]
+    large = bytes((1, 1, *(by_class.get(r, (1, 1))[1] for r in (1, 2, 3))))
+    return list(map(mul, out, big.translate(bytes.maketrans(b"\0\1\2\3\4", large))))
+
+
+def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
+    """Ideal counts a(1..N) for Q, Q(i) and any extension whose components
+    are among them.
+
+    The counts are multiplicative, so a sieve builds the table from the
+    local factors a(p^k), which depend on p only through p mod 4.  Each
+    prime p up to isqrt(N) multiplies the entries of its multiples by
+    a(p^k) for the exact power p^k dividing them.  Each n <= N has at most
+    one prime above isqrt(N), to the first power; a byte array marking the
+    mod-4 class of that prime for every n is built by one strided copy per
+    cofactor and merged into the counts in one pass.  Raises
+    ``WorkBudgetError`` when N is above ``TABLE_LENGTH_LIMIT``.
+    """
+    return CoefficientTable(tuple(_ideal_counts(field_or_extension, n_max)[1:]))
 
 
 def zeta_partial(field_or_extension, s, n_max: int) -> float:
@@ -251,13 +295,15 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     Coefficient identities are exact and tested separately; this is only a
     guarded numeric evaluation of the partial sum.  The terms are added left
     to right by plain float addition, so the value does not depend on the
-    Python version (``sum`` compensates float sums from 3.12 on).  Terms
-    with a(n) = 0 add 0.0, which leaves the sum unchanged.
+    Python version (``sum`` compensates float sums from 3.12 on).  Only the
+    terms with a(n) != 0 are computed and added: a zero term adds 0.0 to a
+    positive sum, which leaves it unchanged.
 
     A term whose n^s is 1e300 or more is below half an ulp of a sum that is
     at least a(1) = 1, so the sum stops before it and stays bit-identical;
     this keeps n^s inside the float range.  An ``s`` too large for a float
-    is infinite and leaves only a(1).
+    is infinite and leaves only a(1).  The length left after this cut is
+    held to ``TABLE_LENGTH_LIMIT``.
     """
     if not s > 1:  # on the exact value: 1 + 10^-20 rounds to the float 1.0
         raise ValueError("zeta partial sums need s > 1")
@@ -266,8 +312,11 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     except OverflowError:
         s = math.inf
     n_max = min(n_max, int(10 ** (300 / s)))
-    table = coefficient_table(field_or_extension, n_max)
-    return reduce(add, map(truediv, table.values, map(pow, range(1, n_max + 1), repeat(s))))
+    counts = _ideal_counts(field_or_extension, n_max)
+    counts[0] = 0  # not a term: compress drops it with the zero counts
+    terms = map(truediv, compress(counts, counts),
+                map(pow, compress(range(n_max + 1), counts), repeat(s)))
+    return reduce(add, terms)
 
 
 def brute_force_ideal_count(field: Field, n: int) -> int:

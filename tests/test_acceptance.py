@@ -217,23 +217,25 @@ def test_criterion_06_factorization():
             break
     primes_checked = 0
     if ok:
-        for p in range(2, 1000):
-            profile = None
+        for p in range(2, 10 ** 4 + 1):
             try:
                 profile = rational_prime_profile(p, QB)
-            except ValueError:
+            except ValueError:  # p is not prime
                 continue
             primes_checked += 1
-            if p == 2:
-                ok = ok and profile.factor_count == 4 and not profile.semiprime
-            elif p % 4 == 3:
+            # over Qh a prime is p*e1 times p*e2 up to units; over QB it stays
+            # prime in Z[i] exactly when p = 3 (mod 4), and splits (or ramifies) otherwise
+            hyperbolic = rational_prime_profile(p, QH)
+            ok = ok and hyperbolic.factor_count == 2 and hyperbolic.semiprime
+            if p % 4 == 3:
                 ok = ok and profile.factor_count == 2 and profile.semiprime
             else:
                 ok = ok and profile.factor_count == 4 and not profile.semiprime
             if not ok:
                 break
-    report(6, "500+500 random factorizations recompose; prime profiles for p < 1000", ok,
-           f"{primes_checked} primes checked")
+        ok = ok and primes_checked == 1229  # pi(10^4)
+    report(6, "500+500 random factorizations recompose; prime profiles over Qh and QB "
+              "for p <= 10^4", ok, f"{primes_checked} primes checked")
 
 
 def test_criterion_07_jacobi_formula():

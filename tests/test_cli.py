@@ -29,6 +29,7 @@ from bicomplex.polys import Poly, format_poly
 from bicomplex.radix import GaussBase, HypGaussBase, HypSplitBase
 from bicomplex.rings import PELL_BIT_LIMIT, ExtensionDescriptor, QB, QH, QuadraticField, Q_FIELD
 from bicomplex.scalars import GaussianRational
+from bicomplex.zeta import TABLE_LENGTH_LIMIT
 
 
 def run(capsys, *argv):
@@ -401,14 +402,28 @@ def test_cli_primes_profile_rejects_a_strong_pseudoprime(capsys):
     assert (code, out) == (1, "") and f"{PSI_12} is not prime" in err
 
 
-def test_cli_factor_exits_2_at_the_rho_step_limit():
-    # 2^128 + 1 = 59649589127497217 * 5704689200685129054721: rho would need
-    # about 2.4e8 steps.  A subprocess with a timeout fails this test, instead
-    # of stalling the run, if the limit stops working.
+def run_subprocess(*argv, timeout=60):
+    """The CLI in a fresh interpreter: a budget that stops working fails the
+    test at the timeout instead of stalling the run."""
     src = str(Path(bicomplex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    argv = [sys.executable, "-m", "bicomplex.cli", "factor", f"[{2 ** 128 + 1}, 1]", "--L", "Qh"]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "bicomplex.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_cli_factor_exits_2_at_the_rho_step_limit():
+    # 2^128 + 1 = 59649589127497217 * 5704689200685129054721: rho would need
+    # about 2.4e8 steps.
+    done = run_subprocess("factor", f"[{2 ** 128 + 1}, 1]", "--L", "Qh")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(RHO_STEP_LIMIT) in done.stderr and "rho steps" in done.stderr
+
+
+def test_cli_factor_charges_rho_steps_by_size():
+    # 2^512 + 1 = 2424833 * (a 491-bit composite with a 49-digit least prime
+    # factor); a step on the cofactor is charged 3, so it reaches the limit
+    # in about 1.5 times the time of 2^128 + 1 instead of 4 times.
+    done = run_subprocess("factor", f"[{2 ** 512 + 1}, 1]", "--L", "Qh")
     assert (done.returncode, done.stdout) == (2, "")
     assert str(RHO_STEP_LIMIT) in done.stderr and "rho steps" in done.stderr
 
@@ -416,12 +431,26 @@ def test_cli_factor_exits_2_at_the_rho_step_limit():
 def test_cli_units_exits_2_at_the_pell_bit_limit():
     # The fundamental unit of Q(sqrt(1000000007)) has more digits than
     # CPython converts to a string; the continued fraction stops at the limit.
-    src = str(Path(bicomplex.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    argv = [sys.executable, "-m", "bicomplex.cli", "units", "--L", "custom:Q(sqrt:1000000007),Q"]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    done = run_subprocess("units", "--L", "custom:Q(sqrt:1000000007),Q")
     assert (done.returncode, done.stdout) == (2, "")
     assert str(PELL_BIT_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("ideal-count", "--K", "QB", "--max", "100000000"),
+    ("zeta", "--K", "Qh", "--s", "2", "--N", "100000000"),
+])
+def test_cli_tables_exit_2_past_the_table_length_limit(argv):
+    # refused before the table is allocated, so the timeout is generous
+    done = run_subprocess(*argv, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(TABLE_LENGTH_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
+def test_cli_zeta_cuts_the_sum_before_the_table_length_limit(capsys):
+    # n^100000 passes 1e300 from n = 2 on, so only a(1) is summed
+    code, out, err = run(capsys, "zeta", "--K", "Qh", "--s", "100000", "--N", "100000000")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_cli_json_round_trips_through_parser(capsys):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from bicomplex import zeta
 from bicomplex.element import BicomplexElement
 from bicomplex.gaussian import exact_gaussian_div, gaussian_int, gaussian_norm
+from bicomplex.numtheory import WorkBudgetError
 from bicomplex.rings import (
     ExtensionDescriptor,
     GAUSSIAN_FIELD,
@@ -19,6 +21,7 @@ from bicomplex.rings import (
 )
 from bicomplex.scalars import GaussianRational
 from bicomplex.zeta import (
+    TABLE_LENGTH_LIMIT,
     BicomplexIdeal,
     CoefficientTable,
     ComponentIdeal,
@@ -143,7 +146,10 @@ def test_coefficient_table_of_c2_extension():
 # -- the sieve against the Dirichlet convolution ---------------------------------
 
 SIEVE_KEYS = (Q_FIELD, GAUSSIAN_FIELD, QH, QB, L_C2, ExtensionDescriptor(GAUSSIAN_FIELD, Q_FIELD))
-SIEVE_LENGTHS = (1, 2, 3, 4, 8, 9, 24, 25, 26, 121, 1000, 4096, 10007)
+# Lengths on both sides of a square, where isqrt(N) and so the split between
+# the primes sieved one by one and those copied per cofactor moves.
+SIEVE_LENGTHS = (1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 50, 121, 168, 169, 170, 960, 961, 962,
+                 1000, 4096, 9408, 9409, 9410, 10007)
 
 
 def _oracle_table(key, n_max):
@@ -166,6 +172,12 @@ def test_coefficient_table_equals_the_convolution_oracle(key):
         assert coefficient_table(key, n_max) == _oracle_table(key, n_max), n_max
 
 
+@pytest.mark.parametrize("key", (QH, QB), ids=str)
+def test_coefficient_table_equals_the_convolution_at_thirty_thousand(key):
+    n_max = 30011  # a prime, so a(N) itself comes from the copied codes
+    assert coefficient_table(key, n_max) == _oracle_table(key, n_max)
+
+
 @pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
 def test_coefficient_table_is_multiplicative(key):
     limit = 10 ** 4
@@ -182,13 +194,15 @@ def test_coefficient_table_is_multiplicative(key):
 
 @pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
 def test_zeta_partial_is_the_plain_left_to_right_sum(key):
-    n_max = 3000
-    values = coefficient_table(key, n_max).values
-    for s in (2, 3, Fraction(5, 2)):
-        total = 0.0
-        for n, a in enumerate(values, start=1):
-            total += a / n ** float(s)
-        assert zeta_partial(key, s, n_max).hex() == total.hex()
+    # zeta_partial skips the terms with a(n) = 0; at 20000 most Q(i) and QB
+    # counts are 0, and adding 0.0 must leave every bit of the sum as it is
+    for n_max in (3000, 20000):
+        values = coefficient_table(key, n_max).values
+        for s in (2, 3, Fraction(5, 2)):
+            total = 0.0
+            for n, a in enumerate(values, start=1):
+                total += a / n ** float(s)
+            assert zeta_partial(key, s, n_max).hex() == total.hex()
 
 
 @pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
@@ -202,6 +216,21 @@ def test_zeta_partial_past_the_float_range(key):
     assert zeta_partial(key, Fraction(10) ** 400, 200) == 1.0
     with pytest.raises(ValueError):
         zeta_partial(key, -Fraction(10) ** 400, 200)
+
+
+def test_table_length_limit(monkeypatch):
+    for call in (lambda n: coefficient_table(QB, n), lambda n: zeta_partial(QH, 2, n)):
+        with pytest.raises(WorkBudgetError, match=str(TABLE_LENGTH_LIMIT)):
+            call(10 ** 8)  # refused before anything is allocated
+    monkeypatch.setattr(zeta, "TABLE_LENGTH_LIMIT", 50)
+    assert coefficient_table(QB, 50) == _oracle_table(QB, 50)
+    assert zeta_partial(QH, 2, 50) > 1
+    for call in (lambda n: coefficient_table(QB, n), lambda n: zeta_partial(QH, 2, n),
+                 lambda n: coefficient_table(Q_FIELD, n)):
+        with pytest.raises(WorkBudgetError, match="limit of 50"):
+            call(51)
+    # the sum keeps n <= 10^(300/s), 10 for s = 300, before the length is checked
+    assert zeta_partial(QH, 300, 10 ** 8) == 1.0
 
 
 def test_coefficient_table_errors():
