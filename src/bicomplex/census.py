@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement
 from .minpoly import conjugate_pair_poly
-from .numtheory import DomainError, totient
+from .numtheory import DomainError, _Record, totient
 from .polys import IntPoly, Poly, is_squarefree, sturm_real_root_count
 from .scalars import GaussianRational, QuadRational
 
@@ -33,8 +32,7 @@ class RootConvergenceError(DomainError, ArithmeticError):
     """The numeric root iteration did not converge within its cap."""
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(_Record):
     """Locus sizes of the bicomplex root set of a squarefree polynomial, all
     given by its degree and real-root count (see the module docstring)."""
 
@@ -94,8 +92,7 @@ def census_cyclotomic(n: int) -> Census:
 LOCUS_NAMES = ("real", "plane_i", "plane_j", "plane_k", "generic")
 
 
-@dataclass(frozen=True)
-class RootPartition:
+class RootPartition(_Record):
     """The n^2 bicomplex roots, classified by fixing conjugations."""
 
     real: tuple[BicomplexElement, ...]
@@ -143,8 +140,7 @@ def enumerate_bicomplex_roots(roots) -> RootPartition:
     return RootPartition(**{name: tuple(vals) for name, vals in buckets.items()})
 
 
-@dataclass(frozen=True)
-class LocusFactors:
+class LocusFactors(_Record):
     """The five monic polynomials collecting X - psi over each locus.
 
     Their product equals the n-th power of the monic input polynomial; an

@@ -13,7 +13,6 @@ complex-conjugates both; axis k does both at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import DomainError
@@ -29,6 +28,7 @@ from .scalars import (
 )
 
 CONJUGATION_AXES = ("i", "j", "k")
+_set_slot = object.__setattr__
 
 
 class NullConeError(DomainError, ZeroDivisionError):
@@ -36,22 +36,33 @@ class NullConeError(DomainError, ZeroDivisionError):
     bicomplex number with a zero idempotent component."""
 
 
-@dataclass(frozen=True, eq=False)
 class BicomplexElement:
-    """A bicomplex number given by its two idempotent components."""
+    """A bicomplex number given by its two idempotent components.
 
-    c1: object
-    c2: object
+    Immutable: ``c1`` and ``c2`` are set once, by ``__init__``."""
 
-    def __post_init__(self):
-        if isinstance(self.c1, int):
-            object.__setattr__(self, "c1", Fraction(self.c1))
-        if isinstance(self.c2, int):
-            object.__setattr__(self, "c2", Fraction(self.c2))
-        if (isinstance(self.c1, QuadRational) and isinstance(self.c2, QuadRational)
-                and self.c1.D != self.c2.D):
+    __slots__ = ("c1", "c2")
+
+    def __init__(self, c1, c2):
+        if isinstance(c1, int):
+            c1 = Fraction(c1)
+        if isinstance(c2, int):
+            c2 = Fraction(c2)
+        if isinstance(c1, QuadRational) and isinstance(c2, QuadRational) and c1.D != c2.D:
             raise MixedScalarError(
-                f"idempotent components must share a radicand: {self.c1!r}, {self.c2!r}")
+                f"idempotent components must share a radicand: {c1!r}, {c2!r}")
+        _set_slot(self, "c1", c1)
+        _set_slot(self, "c2", c2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Pickle and copy rebuild through ``__init__``: the slots refuse assignment."""
+        return BicomplexElement, (self.c1, self.c2)
 
     # -- constructors ------------------------------------------------------
 

@@ -9,16 +9,15 @@ value, otherwise (the components being irreducible) the product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement
+from .numtheory import _Record
 from .polys import IntPoly, Poly, content_primitive
 from .scalars import QuadRational, as_fraction
 
 
-@dataclass(frozen=True)
-class MinPolyResult:
+class MinPolyResult(_Record):
     """Minimal polynomial together with the per-component polynomials.
 
     ``kind`` is ``"common"`` when both components share one minimal
@@ -63,8 +62,7 @@ def eval_at_bicomplex(poly: Poly, element: BicomplexElement) -> BicomplexElement
     return BicomplexElement(poly(element.c1), poly(element.c2))
 
 
-@dataclass(frozen=True)
-class QuarticCoefficients:
+class QuarticCoefficients(_Record):
     """Symmetric functions of an element and its three conjugates.
 
     ``four_re`` is their sum (four times the real part), ``pair_sum`` the sum

@@ -8,6 +8,12 @@ strong pseudoprime to the bases 2..37 (Sorenson & Webster, Math. Comp. 2017);
 from psi_12 on it is the Baillie-PSW "probable prime" test (Baillie &
 Wagstaff, Math. Comp. 1980), which no known composite passes.
 
+The module also holds what every other module shares: ``DomainError``, the
+marker base of the errors that mean "outside the domain", and ``_Record``,
+the base of the package's immutable result records (``Census``,
+``UnitGroupInfo``, ``Poly`` and the rest), which stands in for frozen
+dataclasses so that only factoring loads ``dataclasses``.
+
 >>> factorint(4999)
 {4999: 1}
 >>> is_prime(318665857834031151167461)
@@ -39,6 +45,66 @@ class WorkBudgetError(DomainError, ArithmeticError):
     steps to factor an integer, ``polys.ISOLATION_WORK_LIMIT`` to count real
     roots, ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit, or
     ``zeta.TABLE_LENGTH_LIMIT`` entries for an ideal-count table."""
+
+
+class _Record:
+    """An immutable record whose fields are the annotated names of its class,
+    in order; a value given in the class body is that field's default.
+
+    As with a frozen dataclass: ``__init__`` takes the fields by position or
+    name and then runs the class's ``__post_init__`` checks, the fields live
+    in the instance ``__dict__`` and cannot be assigned or deleted, records
+    are equal when they are of one class with equal fields, the hash is that
+    of the field tuple, and the repr is ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} has {len(cls._fields)} fields, not {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in cls.__dict__:
+                values[name] = cls.__dict__[name]
+            else:
+                raise TypeError(f"{cls.__name__} needs a value for {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r}, "
+                            f"or it was given twice")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks of the fields, run by ``__init__``; none unless overridden."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:

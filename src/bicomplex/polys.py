@@ -17,10 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numtheory import WorkBudgetError, factorint, totient
+from .numtheory import WorkBudgetError, _Record, factorint, totient
 from .scalars import format_terms, power
 
 
@@ -47,11 +46,13 @@ def _cleared(coeffs) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Record):
     """A dense polynomial with exact rational coefficients."""
 
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def of(*coeffs) -> Poly:
@@ -146,8 +147,7 @@ class Poly:
         return f"{type(self).__name__}('{format_poly(self)}')"
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(_Record):
     """A primitive integer polynomial with positive leading coefficient.
 
     This is the normal form of minimal polynomials: content 1 and positive
@@ -157,15 +157,16 @@ class IntPoly:
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise ValueError("IntPoly cannot be the zero polynomial")
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if any(not isinstance(c, int) for c in coeffs):
             raise TypeError("IntPoly coefficients must be int")
-        if self.coeffs[-1] <= 0:
+        if coeffs[-1] <= 0:
             raise ValueError("IntPoly leading coefficient must be positive")
-        if math.gcd(*self.coeffs) != 1:
+        if math.gcd(*coeffs) != 1:
             raise ValueError("IntPoly must be primitive")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def of(*coeffs: int) -> IntPoly:

@@ -34,11 +34,10 @@ m <-> -m.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement
-from .numtheory import DomainError
+from .numtheory import DomainError, _Record
 from .scalars import as_fraction, as_gaussian
 
 ITERATION_CAP = 10_000
@@ -48,8 +47,7 @@ class NonTerminationError(DomainError, ArithmeticError):
     """The digit expansion does not terminate for this input."""
 
 
-@dataclass(frozen=True)
-class HypSplitBase:
+class HypSplitBase(_Record):
     """q = a*e1 + (a-1)*e2 with a <= -2; digit set size a^2 - a = |N(q)|."""
 
     a: int
@@ -71,8 +69,7 @@ class HypSplitBase:
         return f"{self.a}*e1{self.a - 1:+}*e2"
 
 
-@dataclass(frozen=True)
-class HypGaussBase:
+class HypGaussBase(_Record):
     """q = a + j with a <= -2; digit set size a^2 - 1 = |N(q)|.
 
     For a = -2, q = (-1)*e1 + (-3)*e2 has a unit e1 component, and u + v*j
@@ -99,8 +96,7 @@ class HypGaussBase:
         return f"{self.a}+j"
 
 
-@dataclass(frozen=True)
-class GaussBase:
+class GaussBase(_Record):
     """q = a + sign*i with a <= -1; digit set size a^2 + 1 = N(q)."""
 
     a: int
@@ -133,8 +129,7 @@ def digit_set(base: RadixBase) -> range:
     return range(base.size)
 
 
-@dataclass(frozen=True)
-class DigitString:
+class DigitString(_Record):
     """Digits least significant first; '0' is the single digit 0."""
 
     digits: tuple[int, ...]

@@ -19,12 +19,11 @@ support the purely numeric operations (discriminant, unit group order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import BicomplexElement, NullConeError
 from .gaussian import canonical_gaussian_associate, factor_gaussian, is_gaussian_prime
-from .numtheory import DomainError, WorkBudgetError, factorint
+from .numtheory import DomainError, WorkBudgetError, _Record, factorint
 from .numtheory import is_prime as is_rational_prime
 from .scalars import QuadRational, as_fraction, as_gaussian, is_squarefree_int
 
@@ -42,8 +41,7 @@ class UnitInputError(DomainError, ValueError):
     """Factorization input is a unit."""
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(_Record):
     """Q: scalars are rational values and the ring of integers is Z, whose
     canonical associates are positive."""
 
@@ -84,8 +82,7 @@ class RationalField:
         return Fraction(-1 if n < 0 else 1), pairs
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(_Record):
     """Q(sqrt(D)): scalars are rationals and quadratic rationals of radicand
     D.  Only Q(i), whose ring of integers Z[i] has canonical associates in
     the first quadrant, supports associates, primality and factorization."""
@@ -158,8 +155,7 @@ Q_FIELD = RationalField()
 GAUSSIAN_FIELD = QuadraticField(-1)
 
 
-@dataclass(frozen=True)
-class ExtensionDescriptor:
+class ExtensionDescriptor(_Record):
     K1: Field
     K2: Field
 
@@ -252,8 +248,7 @@ def discriminant_by_trace_matrix(L: ExtensionDescriptor) -> int:
 
 # -- units --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitGroupInfo:
+class UnitGroupInfo(_Record):
     finite: bool
     order: int | None
     unit_class: str
@@ -347,8 +342,7 @@ def canonical_associate(element: BicomplexElement, L: ExtensionDescriptor
     return BicomplexElement(u1, u2), BicomplexElement(n1, n2)
 
 
-@dataclass(frozen=True)
-class PrimeElementCheck:
+class PrimeElementCheck(_Record):
     is_prime: bool
     form: str | None  # 'e1', 'e2', 'prime_e1', 'prime_e2'
     irreducible: bool
@@ -374,18 +368,6 @@ def is_prime_element(element: BicomplexElement, L: ExtensionDescriptor) -> Prime
 
 # -- unique factorization ------------------------------------------------------
 
-@dataclass(frozen=True)
-class BicomplexFactorization:
-    unit: BicomplexElement
-    factors: tuple[tuple[BicomplexElement, int], ...]
-
-    def recompose(self) -> BicomplexElement:
-        result = self.unit
-        for prime, exponent in self.factors:
-            result = result * prime ** exponent
-        return result
-
-
 def _prime_sort_key(entry):
     element, _, form = entry
     g = as_gaussian(element.c1 if form == "prime_e1" else element.c2)
@@ -399,6 +381,8 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     Raises NullConeError for elements of zero norm and UnitInputError for
     units; the recomposition unit * prod(prime^exp) is exact.
     """
+    from .factorization import BicomplexFactorization
+
     L.K1._require_factorization()
     L.K2._require_factorization()
     if not is_integral(element, L):
@@ -419,8 +403,7 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     )
 
 
-@dataclass(frozen=True)
-class PrimeProfile:
+class PrimeProfile(_Record):
     factor_count: int  # prime factors counted with multiplicity
     semiprime: bool
     factorization: BicomplexFactorization

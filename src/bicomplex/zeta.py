@@ -25,13 +25,12 @@ before anything is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import add, mul, truediv
 
 from .element import BicomplexElement
-from .numtheory import DomainError, WorkBudgetError, factorint
+from .numtheory import DomainError, WorkBudgetError, _Record, factorint
 from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, UnsupportedRingError,
                     component_class)
 from .scalars import GaussianRational
@@ -46,8 +45,7 @@ class DegenerateIdealError(DomainError, ValueError):
     """Norm (or zeta membership) requested for a zero or degenerate ideal."""
 
 
-@dataclass(frozen=True)
-class ComponentIdeal:
+class ComponentIdeal(_Record):
     """An ideal of a component ring: zero, the full ring, or principal."""
 
     kind: str
@@ -96,8 +94,7 @@ class ComponentIdeal:
         return component_class(self.generator, field) == "prime"
 
 
-@dataclass(frozen=True)
-class BicomplexIdeal:
+class BicomplexIdeal(_Record):
     a1: ComponentIdeal
     a2: ComponentIdeal
     L: ExtensionDescriptor
@@ -178,8 +175,7 @@ def jacobi_r(n: int) -> int:
     return 4 * math.prod(_gaussian_local_factor(p % 4, e)[e] for p, e in factorint(n).items())
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(_Record):
     """Exact counts a(1..N) of ideals by norm, 1-indexed via :meth:`a`."""
 
     values: tuple[int, ...]

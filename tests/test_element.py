@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicomplex.element import (
     BicomplexElement,
@@ -31,6 +32,59 @@ def cartesian_mul(a, b):
             x1 * y2 + y1 * x2 + z1 * t2 + t1 * z2,
             x1 * z2 + z1 * x2 - y1 * t2 - t1 * y2,
             x1 * t2 + t1 * x2 + y1 * z2 + z1 * y2)
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+laws = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@st.composite
+def elements(draw, count: int):
+    """``count`` elements in one of the two views: from rational Cartesian
+    coordinates, or on the idempotent basis with components in one field
+    Q(sqrt(D)), D = -1 (Gaussian) or 5 (real quadratic, no Cartesian view)."""
+    if draw(st.booleans()):
+        coords = st.tuples(fractions, fractions, fractions, fractions)
+        return [BicomplexElement.from_cartesian(*draw(coords)) for _ in range(count)]
+    D = draw(st.sampled_from((-1, 5)))
+    scalar = st.one_of(fractions, st.builds(QuadRational, st.just(D), fractions, fractions))
+    return [BicomplexElement(draw(scalar), draw(scalar)) for _ in range(count)]
+
+
+@laws
+@given(elements(3))
+def test_ring_axioms(abc):
+    a, b, c = abc
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + -a == BicomplexElement.from_rational(0) and a * ONE == a
+
+
+@laws
+@given(st.tuples(fractions, fractions, fractions, fractions), elements(1))
+def test_cartesian_round_trips(coords, drawn):
+    el = BicomplexElement.from_cartesian(*coords)
+    assert el.to_cartesian() == coords
+    assert BicomplexElement.from_cartesian(*el.to_cartesian()) == el
+    (el,) = drawn
+    if el.has_cartesian_view:
+        assert BicomplexElement.from_cartesian(*el.to_cartesian()) == el
+
+
+@laws
+@given(elements(2))
+def test_equal_elements_hash_equal(ab):
+    a, b = ab
+    q = a.c1 - a.c1 + 3  # the rational 3, as a Fraction or a QuadRational with b = 0
+    pairs = [(a * b, b * a), (a + b - b, a), (a.scale(3), a * BicomplexElement(q, q)),
+             (BicomplexElement(q, q), BicomplexElement.from_cartesian(3, 0, 0, 0))]
+    for x, y in pairs:
+        assert x == y
+        assert hash(x) == hash(y)
 
 
 def random_element(rng, span=9):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from bicomplex.element import BicomplexElement, J_UNIT
 from bicomplex.minpoly import (
     conjugate_pair_poly,
@@ -168,3 +170,61 @@ def test_quartic_is_product_of_component_quadratics():
             poly, coeffs = quartic_charpoly(w)
             assert poly == product
             assert (coeffs.four_re, coeffs.pair_sum, coeffs.triple_sum, coeffs.norm) == (-e1, e2, -e3, e4)
+
+
+# -- the primitive element theorem -----------------------------------------------
+
+def _coordinates(el: BicomplexElement) -> list[Fraction]:
+    """(a1, b1, a2, b2) for the components a + b*sqrt(D): a Q-linear,
+    injective map on the elements whose components lie in one Q(sqrt(D))."""
+    return [part for c in (el.c1, el.c2)
+            for part in ((c.a, c.b) if isinstance(c, QuadRational) else (c, Fraction(0)))]
+
+
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q, by Gaussian elimination."""
+    rows, rank = [row[:] for row in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def primitive_elements(draw):
+    """theta with components in one Q(sqrt(D)), the second component drawn
+    equal to the first or its field conjugate often enough to give ``common``."""
+    D = draw(st.sampled_from((-1, -3, 2, 5)))
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    scalar = st.one_of(small, st.builds(QuadRational, st.just(D), small, small))
+    c1 = draw(scalar)
+    c2 = draw(st.one_of(
+        scalar, st.just(c1),
+        st.just(c1.field_conjugate() if isinstance(c1, QuadRational) else c1)))
+    return BicomplexElement(c1, c2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(primitive_elements())
+def test_primitive_element_theorem(theta):
+    """Q[theta] has dimension deg minpoly(theta): for ``product`` the powers
+    1, theta, ..., theta^(d-1) are independent, so theta generates
+    K1*e1 + K2*e2; for ``common`` the degree is the component's, and Q[theta]
+    is the field of one component."""
+    result = minpoly_bicomplex(theta)
+    d = result.poly.degree
+    powers = [_coordinates(theta ** k) for k in range(d + 1)]
+    assert _rank(powers[:d]) == d
+    assert eval_at_bicomplex(result.poly.to_poly(), theta).is_zero  # theta^d depends on them
+    p1, p2 = result.component_polys
+    if result.kind == "product":
+        assert d == p1.degree + p2.degree and p1 != p2
+    else:
+        assert result.kind == "common" and d == p1.degree and p1 == p2 == result.poly

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bicomplex
+from bicomplex import cli
 
 SRC = str(Path(bicomplex.__file__).resolve().parent.parent)
 
@@ -29,15 +30,15 @@ PUBLIC_NAMES = [
     "coefficient_table", "content_primitive", "cyclotomic", "decode", "digit_set",
     "dirichlet_convolve", "discriminant", "discriminant_by_trace_matrix", "element",
     "encode", "enumerate_bicomplex_roots", "eval_at_bicomplex", "factor", "factor_gaussian",
-    "gaussian", "ideal_norm", "integral_basis", "is_gaussian_prime", "is_integral",
-    "is_prime_element", "is_prime_ideal", "is_squarefree", "is_unit", "jacobi_r",
+    "factorization", "gaussian", "ideal_norm", "integral_basis", "is_gaussian_prime",
+    "is_integral", "is_prime_element", "is_prime_ideal", "is_squarefree", "is_unit", "jacobi_r",
     "locus_factors", "minpoly", "minpoly_bicomplex", "minpoly_component", "numeric_roots",
     "numtheory", "poly_gcd", "polys", "principal_ideal", "quartic_charpoly", "radix",
     "rational_prime_profile", "rings", "scalars", "sturm_real_root_count", "unit_group",
     "zeta", "zeta_partial",
 ]
-SUBMODULES = {"element", "gaussian", "minpoly", "numtheory", "polys", "radix", "rings",
-              "scalars", "zeta"}
+SUBMODULES = {"element", "factorization", "gaussian", "minpoly", "numtheory", "polys",
+              "radix", "rings", "scalars", "zeta"}
 
 
 def fresh(code: str) -> str:
@@ -75,6 +76,34 @@ def test_import_cli_loads_only_the_element_layer():
 def test_cli_subcommand_loads_only_its_modules(argv, unloaded):
     loaded = loaded_after(f"from bicomplex.cli import main\nassert main({argv!r}) == 0")
     assert not loaded & {f"bicomplex.{name}" for name in unloaded}
+
+
+# One README command line for each subcommand but factor and primes-profile,
+# whose result record (rings.factor's) is the package's one dataclass.
+README_LINES_WITHOUT_FACTORING = [
+    ["minpoly", "1+i+j-k"], ["decompose", "1+i+j-k"], ["conj", "1+i+j-k", "--axis", "j"],
+    ["norm", "[2, 2*i]"], ["charpoly4", "1+i+j-k"],
+    ["census", "--poly", "X^3 - 2*X^2 + 4*X - 8"], ["roots", "--poly", "X^2 + 1"],
+    ["units", "--L", "QB"], ["disc", "--L", "QB"], ["ideal-count", "--K", "QB", "--max", "20"],
+    ["zeta", "--K", "Qh", "--s", "2", "--N", "10000"],
+    ["radix-encode", "[7, -4]", "--base", "split:-2"],
+    ["radix-decode", "--base", "split:-2", "--digits", "1 4 3 0 3 5"],
+]
+
+
+def test_cli_loads_no_dataclasses_except_to_factor():
+    """dataclasses (with inspect, which it imports) was most of the CLI's
+    start-up; only what a bare ``import argparse, fractions`` loads may be there."""
+    out = fresh("import sys, argparse, fractions\n"
+                "heavy = ('dataclasses', 'inspect')\n"
+                "before = {m for m in heavy if m in sys.modules}\n"
+                "from bicomplex.cli import main\n"
+                f"codes = [main(argv) for argv in {README_LINES_WITHOUT_FACTORING!r}]\n"
+                "print(codes, sorted(m for m in heavy if m in sys.modules and m not in before))")
+    assert out.splitlines()[-1] == f"{[0] * len(README_LINES_WITHOUT_FACTORING)} []"
+    every = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in README_LINES_WITHOUT_FACTORING} == set(every) - {
+        "factor", "primes-profile"}
 
 
 def test_public_names():

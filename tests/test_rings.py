@@ -130,13 +130,19 @@ def test_discriminant_named_extensions():
 
 
 def test_discriminant_trace_matrix_sweep():
+    """The discriminant of K1*e1 + K2*e2 is the product of the component
+    discriminants (D, or 4D unless D = 1 mod 4, for Q(sqrt(D)); 1 for Q): the
+    trace-matrix determinant over the integral basis equals this closed form."""
     squarefree = [d for d in range(-50, 51)
                   if d not in (0, 1) and is_squarefree_int(d)]
+    squarefree += [-1000003, -999997, -999994, 999995, 1000001, 1000002]
     for d in squarefree:
+        assert is_squarefree_int(d)
         K = QuadraticField(d)
-        for L in (ExtensionDescriptor(K, Q_FIELD), ExtensionDescriptor(Q_FIELD, K),
-                  ExtensionDescriptor(K, K)):
-            assert discriminant(L) == discriminant_by_trace_matrix(L)
+        for k, L in ((1, ExtensionDescriptor(K, Q_FIELD)), (1, ExtensionDescriptor(Q_FIELD, K)),
+                     (2, ExtensionDescriptor(K, K))):
+            closed_form = (d if d % 4 == 1 else 4 * d) ** k
+            assert discriminant(L) == closed_form == discriminant_by_trace_matrix(L)
 
 
 def test_unit_group_finite_classes():
