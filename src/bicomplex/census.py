@@ -22,10 +22,9 @@ import math
 from fractions import Fraction
 
 from .element import BicomplexElement
-from .minpoly import conjugate_pair_poly
 from .numtheory import DomainError, _Record, totient
-from .polys import IntPoly, Poly, is_squarefree, sturm_real_root_count
-from .scalars import GaussianRational, QuadRational
+from .polys import IntPoly, Poly, is_squarefree, poly_product, sturm_real_root_count
+from .scalars import GaussianRational, QuadRational, as_gaussian
 
 
 class RootConvergenceError(DomainError, ArithmeticError):
@@ -109,13 +108,21 @@ class RootPartition(_Record):
                 len(self.plane_k), len(self.generic))
 
 
-def _check_root_set(roots: tuple[QuadRational, ...]):
-    if len(set(roots)) != len(roots):
+def _checked_roots(roots) -> tuple[tuple[QuadRational, ...], list[int]]:
+    """The roots as Gaussian rationals, and the index of each one's conjugate.
+
+    Raises ValueError unless the roots lie in Q(i), are distinct and are
+    closed under conjugation."""
+    roots = tuple(map(as_gaussian, roots))
+    index = {root: k for k, root in enumerate(roots)}
+    if len(index) != len(roots):
         raise ValueError("duplicate roots in root set")
-    have = set(roots)
+    conj = []
     for root in roots:
-        if root.conjugate() not in have:
+        if (k := index.get(root.conjugate())) is None:
             raise ValueError(f"root set is not closed under conjugation: {root} unpaired")
+        conj.append(k)
+    return roots, conj
 
 
 def classify_pair(alpha: QuadRational, beta: QuadRational) -> str:
@@ -130,13 +137,27 @@ def classify_pair(alpha: QuadRational, beta: QuadRational) -> str:
 
 
 def enumerate_bicomplex_roots(roots) -> RootPartition:
-    """All pairs alpha*e1 + beta*e2 over a conjugation-closed root set."""
-    roots = tuple(roots)
-    _check_root_set(roots)
+    """All pairs alpha*e1 + beta*e2 over a conjugation-closed set of roots in
+    Q(i); rationals are accepted as Gaussian rationals.
+
+    Each locus lists its pairs in the order of a loop over alpha, then beta.
+    The rule is :func:`classify_pair`, applied to indices: each root's
+    realness and the index of its conjugate are found once.
+    """
+    roots, conj = _checked_roots(roots)
+    real = [not root.im for root in roots]
     buckets: dict[str, list[BicomplexElement]] = {name: [] for name in LOCUS_NAMES}
-    for alpha in roots:
-        for beta in roots:
-            buckets[classify_pair(alpha, beta)].append(BicomplexElement(alpha, beta))
+    for i, alpha in enumerate(roots):
+        for j, beta in enumerate(roots):
+            if i == j:
+                name = "real" if real[i] else "plane_i"
+            elif real[i] and real[j]:
+                name = "plane_j"
+            elif j == conj[i]:
+                name = "plane_k"
+            else:
+                name = "generic"
+            buckets[name].append(BicomplexElement(alpha, beta))
     return RootPartition(**{name: tuple(vals) for name, vals in buckets.items()})
 
 
@@ -154,35 +175,58 @@ class LocusFactors(_Record):
     generic: Poly
 
     def product(self) -> Poly:
-        return self.real * self.plane_i * self.plane_j * self.plane_k * self.generic
+        """The product of the five factors by Gauss's lemma (see
+        :func:`polys.poly_product`): each is split once into its content and
+        primitive part, and the primitive parts are multiplied as integer
+        polynomials."""
+        return poly_product((self.real, self.plane_i, self.plane_j, self.plane_k, self.generic))
+
+
+def _gaussian_minpoly(root: QuadRational) -> IntPoly:
+    """The minimal polynomial over the integers of a Gaussian rational root:
+    q*X - p for a rational p/q, else (L*X - A)^2 + B^2 made primitive, where
+    root = (A + B*i) / L."""
+    re, im = root.re, root.im
+    if not im:
+        return IntPoly((-re.numerator, re.denominator))
+    den = math.lcm(re.denominator, im.denominator)
+    a, b = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+    coeffs = (a * a + b * b, -2 * a * den, den * den)
+    g = math.gcd(*coeffs)
+    return IntPoly(tuple([c // g for c in coeffs]))
 
 
 def locus_factors(roots, lead: int = 1) -> LocusFactors:
-    """Exact locus factor polynomials from a conjugation-closed root set.
+    """Exact locus factor polynomials from a conjugation-closed set of roots
+    in Q(i); rationals are accepted as Gaussian rationals.
 
     ``lead`` is the leading coefficient of the degree-n polynomial whose
     roots these are; the factors themselves are monic, so the full product
     identity reads lead^n * (product over all n^2 roots of X - psi)
     = (lead * prod(X - root))^n.
+
+    By Gauss's lemma each factor is a monic multiple of a product of powers
+    of two primitive integer polynomials: the product R of the minimal
+    polynomials of the r real roots and the product P of those of the s
+    conjugate pairs.  The factors are R, P, R^(r-1), P and
+    R^(2s) * P^(r+2s-2), computed as :class:`IntPoly` and made monic once.
     """
-    roots = tuple(roots)
-    _check_root_set(roots)
+    roots, _ = _checked_roots(roots)
     if lead <= 0:
         raise ValueError("leading coefficient must be positive")
-    real = [root.re for root in roots if root.im == 0]
-    pairs = [root for root in roots if root.im > 0]
-    r, s = len(real), len(pairs)
+    real_f = pair_f = one = IntPoly((1,))
+    for root in roots:
+        if root.im == 0:
+            real_f *= _gaussian_minpoly(root)
+        elif root.im > 0:
+            pair_f *= _gaussian_minpoly(root)
+    r, s = real_f.degree, pair_f.degree // 2
 
-    real_f = math.prod((Poly.of(-alpha, 1) for alpha in real), start=Poly.one())
-    pair_f = math.prod(map(conjugate_pair_poly, pairs), start=Poly.one())
-
-    plane_j = Poly.one() if r == 0 else real_f ** (r - 1)
-    if s == 0:
-        generic = Poly.one()
-    else:
-        generic = (real_f ** (2 * s)) * (pair_f ** (r + 2 * (s - 1)))
-    return LocusFactors(real=real_f, plane_i=pair_f, plane_j=plane_j,
-                        plane_k=pair_f, generic=generic)
+    plane_j = one if r == 0 else real_f ** (r - 1)
+    generic = one if s == 0 else real_f ** (2 * s) * pair_f ** (r + 2 * (s - 1))
+    pair_monic = pair_f.monic()
+    return LocusFactors(real=real_f.monic(), plane_i=pair_monic, plane_j=plane_j.monic(),
+                        plane_k=pair_monic, generic=generic.monic())
 
 
 def gaussian_root_set(polys) -> list[QuadRational] | None:

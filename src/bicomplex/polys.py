@@ -6,8 +6,11 @@ the empty tuple.  :class:`Poly` has :class:`fractions.Fraction` coefficients;
 :class:`IntPoly` has integer ones in the minimal-polynomial normal form used
 throughout this package (primitive, positive leading coefficient).
 
-Products are one integer convolution over common denominators, and the gcd
-one integer pseudo-remainder sequence.  A gcd(p, p') mod one word-size prime
+Products and powers follow Gauss's lemma: a product of rational polynomials is
+the product of their contents times the product of their primitive parts, so
+each factor is split once, the primitive parts are multiplied as integer
+polynomials, and the result is scaled back to rationals once.  The gcd is one
+integer pseudo-remainder sequence.  A gcd(p, p') mod one word-size prime
 proves most polynomials squarefree without it.  Real roots are counted by
 Descartes' rule of signs on integer Taylor shifts, as continued fractions
 that step past a lower bound on the positive roots.
@@ -101,19 +104,17 @@ class Poly(_Record):
             return Poly(_trim([a * other for a in self.coeffs]))
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        (den_a, a), (den_b, b) = _cleared(self.coeffs), _cleared(other.coeffs)
-        den = den_a * den_b
-        # From a list: CPython parks each tuple(generator) on a free list.
-        return Poly(tuple([Fraction(c, den) for c in _convolve(a, b)]))
+        return poly_product((self, other))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        return power(self, n, Poly.one())
+        if self.is_zero:
+            return self if n else Poly.one()
+        scale, prim = content_primitive(self)
+        return (prim ** n).to_poly(scale ** n)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Exact quotient and remainder with deg(remainder) < deg(other)."""
@@ -178,8 +179,13 @@ class IntPoly(_Record):
     def lead(self) -> int:
         return self.coeffs[-1]
 
-    def to_poly(self) -> Poly:
-        return Poly(tuple([Fraction(c) for c in self.coeffs]))
+    def to_poly(self, scale: Fraction = Fraction(1)) -> Poly:
+        """This polynomial times a rational scale, as a :class:`Poly`."""
+        num, den = scale.numerator, scale.denominator
+        return Poly(tuple([Fraction(num * c, den) for c in self.coeffs]))
+
+    def monic(self) -> Poly:
+        return self.to_poly(Fraction(1, self.lead))
 
     __call__ = Poly.__call__
     __str__ = Poly.__str__
@@ -190,6 +196,11 @@ class IntPoly(_Record):
             return NotImplemented
         # Gauss's lemma: a product of primitive polynomials is primitive.
         return IntPoly(tuple(_convolve(self.coeffs, other.coeffs)))
+
+    def __pow__(self, n: int) -> IntPoly:
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        return power(self, n, IntPoly((1,)))
 
 
 def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
@@ -209,6 +220,25 @@ def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
     if ints[-1] < 0:
         g = -g
     return Fraction(g, den), IntPoly(tuple([c // g for c in ints]))
+
+
+def poly_product(factors) -> Poly:
+    """The product of rational polynomials by Gauss's lemma.
+
+    Each factor is split once by :func:`content_primitive`; the product is
+    the product of the scales times the product of the primitive parts,
+    which are multiplied as :class:`IntPoly` and scaled back at the end.
+
+    >>> poly_product([Poly.of(Fraction(1, 2), 1), Poly.of(-3, 1), Poly.of(0, -2)])
+    Poly('-2*X^3 + 5*X^2 + 3*X')
+    """
+    scale, prim = Fraction(1), IntPoly((1,))
+    for p in factors:
+        if p.is_zero:
+            return p
+        s, q = content_primitive(p)
+        scale, prim = scale * s, prim * q
+    return prim.to_poly(scale)
 
 
 def _primitive(a) -> tuple[int, ...]:

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from bicomplex.census import (
+    LOCUS_NAMES,
     Census,
     RootConvergenceError,
+    RootPartition,
     census,
     census_cyclotomic,
     classify_pair,
@@ -19,7 +21,8 @@ from bicomplex.census import (
 )
 from bicomplex.element import BicomplexElement
 from bicomplex.polys import IntPoly, Poly, content_primitive, cyclotomic, is_squarefree
-from bicomplex.scalars import GaussianRational
+from bicomplex.scalars import GaussianRational, QuadRational
+from test_polys import _schoolbook
 
 
 def G(re, im=0):
@@ -117,6 +120,58 @@ def test_enumerate_rejects_bad_sets():
         enumerate_bicomplex_roots([G(1), G(1)])
     with pytest.raises(ValueError):
         enumerate_bicomplex_roots([G(0, 1)])
+    # the real roots 1 +- sqrt(2) of X^2 - 2X - 1 are not Gaussian rationals
+    for build in (enumerate_bicomplex_roots, locus_factors):
+        with pytest.raises(ValueError, match="Q\\(i\\)"):
+            build([QuadRational(2, 1, 1), QuadRational(2, 1, -1)])
+
+
+def test_rational_roots_are_gaussian_roots():
+    assert enumerate_bicomplex_roots([1, 2]) == enumerate_bicomplex_roots([G(1), G(2)])
+    assert enumerate_bicomplex_roots([1, 2]).sizes() == (2, 0, 2, 0, 0)
+    assert locus_factors([Fraction(1), Fraction(2)]) == locus_factors([G(1), G(2)])
+    assert locus_factors([QuadRational(3, 5)]).real == Poly.of(-5, 1)
+
+
+def _root_sets(seed: int):
+    """A shuffled conjugation-closed set of Gaussian rational roots for each
+    degree n <= 10 and each number s of conjugate pairs, r = n - 2s real."""
+    rng = random.Random(seed)
+    for n in range(1, 11):
+        for s in range(n // 2 + 1):
+            roots: set = set()
+            while len(roots) < n - 2 * s:
+                roots.add(G(Fraction(rng.randint(-20, 20), rng.randint(1, 6))))
+            while len(roots) < n:
+                root = G(Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+                         Fraction(rng.randint(1, 20), rng.randint(1, 6)))
+                roots |= {root, root.conjugate()}
+            roots = sorted(roots, key=lambda z: (z.re, z.im))
+            rng.shuffle(roots)
+            yield roots
+
+
+def test_enumeration_buckets_every_pair_by_classify_pair():
+    for roots in _root_sets(71):
+        buckets = {name: [] for name in LOCUS_NAMES}
+        for alpha in roots:
+            for beta in roots:
+                buckets[classify_pair(alpha, beta)].append(BicomplexElement(alpha, beta))
+        expected = RootPartition(**{name: tuple(vals) for name, vals in buckets.items()})
+        assert enumerate_bicomplex_roots(roots) == expected
+
+
+def test_locus_product_matches_fraction_schoolbook():
+    for roots in _root_sets(72):
+        factors = locus_factors(roots, lead=3)
+        expected = Poly.one()
+        for name in LOCUS_NAMES:
+            expected = _schoolbook(expected.coeffs, getattr(factors, name).coeffs)
+        product = factors.product()
+        assert product == expected and product.degree == len(roots) ** 2
+        monic = (factors.real * factors.plane_i).coeffs
+        assert _gaussian_linear_product(roots) == [G(c) for c in monic]
+        assert all(type(c) is Fraction for c in product.coeffs)
 
 
 def test_locus_is_fixed_point_signature():

@@ -39,7 +39,7 @@ def test_products_match_fraction_schoolbook():
 
     def random_poly():
         return Poly.of(*(Fraction(rng.randrange(-60, 61), rng.randrange(1, 40))
-                         for _ in range(rng.randrange(7))))
+                         for _ in range(rng.randrange(10))))
 
     for _ in range(300):
         p, q = random_poly(), random_poly()
@@ -53,6 +53,15 @@ def test_products_match_fraction_schoolbook():
         for _ in range(n):
             power = _schoolbook(power.coeffs, p.coeffs)
         assert p ** n == power
+    # content_primitive puts the sign in the scale: negative leads included
+    edge = [Poly.zero(), Poly.one(), Poly.of(Fraction(-7, 3)), Poly.of(0, -1),
+            Poly.of(Fraction(1, 2), 0, Fraction(-5, 6)), Poly.of(*range(8, 0, -1), -4)]
+    for p in edge + [random_poly() for _ in range(30)]:
+        power = Poly.one()
+        for n in range(13):
+            assert p ** n == power
+            assert all(type(c) is Fraction for c in (p ** n).coeffs)
+            power = _schoolbook(power.coeffs, p.coeffs)
 
 
 def test_power_law():
