@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 from .element import BicomplexElement
+from .minpoly import minpoly_component
 from .numtheory import DomainError, _Record, totient
 from .polys import IntPoly, Poly, is_squarefree, poly_product, sturm_real_root_count
 from .scalars import GaussianRational, QuadRational, as_gaussian
@@ -182,20 +183,6 @@ class LocusFactors(_Record):
         return poly_product((self.real, self.plane_i, self.plane_j, self.plane_k, self.generic))
 
 
-def _gaussian_minpoly(root: QuadRational) -> IntPoly:
-    """The minimal polynomial over the integers of a Gaussian rational root:
-    q*X - p for a rational p/q, else (L*X - A)^2 + B^2 made primitive, where
-    root = (A + B*i) / L."""
-    re, im = root.re, root.im
-    if not im:
-        return IntPoly((-re.numerator, re.denominator))
-    den = math.lcm(re.denominator, im.denominator)
-    a, b = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-    coeffs = (a * a + b * b, -2 * a * den, den * den)
-    g = math.gcd(*coeffs)
-    return IntPoly(tuple([c // g for c in coeffs]))
-
-
 def locus_factors(roots, lead: int = 1) -> LocusFactors:
     """Exact locus factor polynomials from a conjugation-closed set of roots
     in Q(i); rationals are accepted as Gaussian rationals.
@@ -217,9 +204,9 @@ def locus_factors(roots, lead: int = 1) -> LocusFactors:
     real_f = pair_f = one = IntPoly((1,))
     for root in roots:
         if root.im == 0:
-            real_f *= _gaussian_minpoly(root)
+            real_f *= minpoly_component(root)
         elif root.im > 0:
-            pair_f *= _gaussian_minpoly(root)
+            pair_f *= minpoly_component(root)
     r, s = real_f.degree, pair_f.degree // 2
 
     plane_j = one if r == 0 else real_f ** (r - 1)

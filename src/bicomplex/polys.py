@@ -6,7 +6,7 @@ the empty tuple.  :class:`Poly` has :class:`fractions.Fraction` coefficients;
 :class:`IntPoly` has integer ones in the minimal-polynomial normal form used
 throughout this package (primitive, positive leading coefficient).
 
-Products and powers follow Gauss's lemma: a product of rational polynomials is
+Products follow Gauss's lemma: a product of rational polynomials is
 the product of their contents times the product of their primitive parts, so
 each factor is split once, the primitive parts are multiplied as integer
 polynomials, and the result is scaled back to rationals once.  The gcd is one
@@ -111,10 +111,7 @@ class Poly(_Record):
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        if self.is_zero:
-            return self if n else Poly.one()
-        scale, prim = content_primitive(self)
-        return (prim ** n).to_poly(scale ** n)
+        return power(self, n, Poly.one())
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Exact quotient and remainder with deg(remainder) < deg(other)."""
