@@ -447,8 +447,11 @@ def _cmd_ideal_count(args):
     if args.out:
         import csv
 
-        with open(args.out, "w", newline="") as handle:
-            csv.writer(handle).writerows([("n", "a_n")] + rows)
+        try:
+            with open(args.out, "w", newline="") as handle:
+                csv.writer(handle).writerows([("n", "a_n")] + rows)
+        except OSError as exc:  # reported like bad input: exit 1, no traceback
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
         return [], list(table.values)
     return [f"{n} {a}" for n, a in rows], list(table.values)
 

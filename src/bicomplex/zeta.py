@@ -14,13 +14,16 @@ in Z[i], that is on p mod 4.  The table of any extension whose components
 are Q or Q(i) is the Dirichlet convolution of its two component tables, so
 its local factors are the Cauchy products of theirs.
 
-:func:`coefficient_table` sieves with the local factors in two parts split
-at isqrt(N): the primes up to it one at a time, and the primes above it,
-which divide each n <= N at most once, all together by one strided byte
-copy per cofactor.  :func:`zeta_partial` sums the same counts without
-building the table tuple, and :func:`dirichlet_convolve` is the
-independent oracle.  Tables longer than ``TABLE_LENGTH_LIMIT`` are refused
-before anything is allocated.
+:func:`coefficient_table` sieves with the local factors in three parts.
+The primes above isqrt(N), which divide each n <= N at most once, are
+marked all together by one strided byte copy per cofactor.  A wheel over 2
+and 3 then writes every count's 2,3-part times its large-prime factor as
+bytes, one translated slice per 2,3-smooth s and residue 1 or 5 mod 6.
+Last, the primes from 5 to isqrt(N) multiply in their factors one at a
+time.  :func:`zeta_partial` sums the same counts without building the table
+tuple, and :func:`dirichlet_convolve` is the independent oracle.  Tables
+longer than ``TABLE_LENGTH_LIMIT`` are refused before anything is
+allocated.
 """
 from __future__ import annotations
 
@@ -35,8 +38,8 @@ from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, Unsuppo
                     component_class)
 from .scalars import GaussianRational
 
-# The longest table built: a QB table of this length takes about 3 s and
-# 235 MB at peak (Python 3.11, one core); ten times more would need
+# The longest table built: a QB table of this length takes about 2 s and
+# 181 MiB at peak (Python 3.11, one core); ten times more would need
 # gigabytes of Python ints.
 TABLE_LENGTH_LIMIT = 10 ** 7
 
@@ -239,11 +242,42 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
     # 2^e_max > n_max bounds every exponent; classes whose local factor is 1
     # leave the table as it is
     by_class = {r: a for r in (1, 2, 3) if (a := local(r, e_max)) != [1] * (e_max + 1)}
-    out = [1] * (n_max + 1)
     if not by_class:
-        return out
+        return [1] * (n_max + 1)
     codes, root = _prime_codes(n_max), math.isqrt(n_max)
-    for p in compress(range(root + 1), codes):
+    # Primes from low on: n <= n_max has at most one, p, to the first power
+    # (low > root, and low >= 5 keeps 2 and 3 out), and n = m*p with
+    # m <= n_max // low.  For ascending m the copy writes codes[j] to
+    # big[m*j] for every j in [low, n_max // m].  The last write to an n
+    # comes from its least divisor j from low on: when n has a large prime p
+    # that is p itself, since every such divisor contains p (a composite
+    # j = p*t writes first and the larger cofactor m*t overwrites it later);
+    # when n has none, j is composite and writes 0; an n < low is never
+    # written.
+    big, low = bytearray(n_max + 1), max(root + 1, 5)
+    for m in range(1, n_max // low + 1):
+        big[m * low::m] = codes[low:n_max // m + 1]
+    # The wheel: n = 2^i * 3^j * m with m = 1 or 5 (mod 6), so the slices
+    # [s::6s] and [5s::6s] over the 2,3-smooth s = 2^i * 3^j partition
+    # 1..n_max.  On both, one translate turns the code of n's large prime p
+    # into a(2^i) a(3^j) a(p), and code 0 (no large prime) into
+    # a(2^i) a(3^j); codes 1 and 3 (0 and 2 mod 4) never mark a large prime.
+    # bytes() raises rather than wraps past 255; the products stay below it
+    # up to TABLE_LENGTH_LIMIT (tests/test_zeta.py checks it).
+    large, f2, f3 = (1, 1, local(1, 1)[1], 1, local(3, 1)[1]), local(2, e_max), local(3, e_max)
+    counts, s2, i = bytearray(n_max + 1), 1, 0
+    while s2 <= n_max:
+        s, j = s2, 0
+        while s <= n_max:
+            table = bytes([f2[i] * f3[j] * a for a in large]).ljust(256, b"\0")
+            counts[s::6 * s] = big[s::6 * s].translate(table)
+            counts[5 * s::6 * s] = big[5 * s::6 * s].translate(table)
+            s, j = 3 * s, j + 1
+        s2, i = 2 * s2, i + 1
+    counts[0] = 1
+    out = list(counts)
+    # The primes from 5 to the root one at a time, with their powers.
+    for p in compress(range(5, root + 1), codes[5:root + 1]):
         if (a := by_class.get(p % 4)) is None:
             continue
         # factors[t] goes to the index (t+1)*p; p^k divides it when p^(k-1) divides t+1
@@ -253,20 +287,7 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
             factors[q - 1::q] = [a[k]] * (n_max // (q * p))
             k, q = k + 1, q * p
         out[p::p] = map(mul, out[p::p], factors)
-    # Primes above the root: n <= n_max has at most one, p, to the first
-    # power, and n = m*p with m <= n_max // (root+1).  For ascending m the
-    # copy writes codes[j] to big[m*j] for every j in (root, n_max // m].
-    # The last write to an n comes from its least divisor j above the root:
-    # when n has a large prime p that is p itself, since every divisor above
-    # the root contains p (a composite j = p*t writes first and the larger
-    # cofactor m*t overwrites it later); when n has none, j is composite and
-    # writes 0; an n <= root is never written.  Then each code becomes a(p)
-    # of its class, and 0 becomes 1.
-    big, low = bytearray(n_max + 1), root + 1
-    for m in range(1, n_max // low + 1):
-        big[m * low::m] = codes[low:n_max // m + 1]
-    large = bytes((1, 1, *(by_class.get(r, (1, 1))[1] for r in (1, 2, 3))))
-    return list(map(mul, out, big.translate(bytes.maketrans(b"\0\1\2\3\4", large))))
+    return out
 
 
 def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
@@ -275,12 +296,15 @@ def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
 
     The counts are multiplicative, so a sieve builds the table from the
     local factors a(p^k), which depend on p only through p mod 4.  Each
-    prime p up to isqrt(N) multiplies the entries of its multiples by
-    a(p^k) for the exact power p^k dividing them.  Each n <= N has at most
-    one prime above isqrt(N), to the first power; a byte array marking the
-    mod-4 class of that prime for every n is built by one strided copy per
-    cofactor and merged into the counts in one pass.  Raises
-    ``WorkBudgetError`` when N is above ``TABLE_LENGTH_LIMIT``.
+    n <= N has at most one prime above isqrt(N), to the first power; a byte
+    array marking the mod-4 class of that prime for every n is built by one
+    strided copy per cofactor.  Writing n = 2^i 3^j m with m = 1 or 5
+    (mod 6), the n of one 2,3-part s = 2^i 3^j and one residue of m form a
+    slice of step 6s, and one byte translation of the marks on it gives
+    a(2^i) a(3^j) a(p) for all of them at once.  Each prime p from 5 to
+    isqrt(N) then multiplies the entries of its multiples by a(p^k) for the
+    exact power p^k dividing them.  Raises ``WorkBudgetError`` when N is
+    above ``TABLE_LENGTH_LIMIT``.
     """
     return CoefficientTable(tuple(_ideal_counts(field_or_extension, n_max)[1:]))
 

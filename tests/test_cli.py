@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bicomplex
 from bicomplex import minpoly, polys
@@ -80,6 +81,27 @@ def test_parse_print_round_trip_corpus():
         poly = Poly.of(*(Fraction(rng.randrange(-20, 21), rng.randrange(1, 9)) * rng.randrange(2)
                          for _ in range(rng.randrange(8))))
         assert parse_poly(format_poly(poly)) == poly
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+gaussians = st.builds(GaussianRational, fractions, fractions)
+round_trips = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@round_trips
+@given(st.one_of(st.builds(BicomplexElement.from_cartesian, fractions, fractions, fractions,
+                           fractions),
+                 st.builds(BicomplexElement, gaussians, gaussians)))
+def test_parse_element_reads_what_str_prints(x):
+    assert parse_element(str(x)) == x
+    assert parse_element(idempotent_literal(x)) == x
+
+
+@round_trips
+@given(st.lists(fractions, max_size=10))
+def test_parse_poly_reads_what_format_poly_prints(coeffs):
+    p = Poly.of(*coeffs)
+    assert parse_poly(format_poly(p)) == p
 
 
 def test_parse_poly():
@@ -445,6 +467,15 @@ def test_cli_tables_exit_2_past_the_table_length_limit(argv):
     done = run_subprocess(*argv, timeout=30)
     assert (done.returncode, done.stdout) == (2, "")
     assert str(TABLE_LENGTH_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])
+def test_cli_ideal_count_reports_an_unwritable_out_file(tmp_path, where):
+    done = run_subprocess("ideal-count", "--K", "Qh", "--max", "10", "--out",
+                          str(tmp_path / where), timeout=30)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert str(tmp_path) in done.stderr
 
 
 def test_cli_zeta_cuts_the_sum_before_the_table_length_limit(capsys):

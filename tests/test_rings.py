@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bicomplex.element import BicomplexElement, J_UNIT, NullConeError, ONE
 from bicomplex.minpoly import conjugate_pair_poly, minpoly_component
@@ -363,6 +364,21 @@ def test_factor_round_trip_random():
         assert f.recompose() == el
         assert all(is_prime_element(p, QB).is_prime for p, _ in f.factors)
         assert all(canonical_associate(p, QB)[1] == p for p, _ in f.factors)
+
+
+rational_integers = st.integers(-10 ** 6, 10 ** 6).filter(bool).map(Fraction)
+gaussian_integers = st.builds(G, st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(bool)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.builds(BicomplexElement, rational_integers, rational_integers),
+                           st.just(QH)),
+                 st.tuples(st.builds(BicomplexElement, gaussian_integers, gaussian_integers),
+                           st.just(QB))))
+def test_factor_recomposes(x_and_L):
+    x, L = x_and_L
+    assume(not is_unit(x, L))
+    assert factor(x, L).recompose() == x
 
 
 def test_factor_unit_invariance():

@@ -147,9 +147,11 @@ def test_coefficient_table_of_c2_extension():
 
 SIEVE_KEYS = (Q_FIELD, GAUSSIAN_FIELD, QH, QB, L_C2, ExtensionDescriptor(GAUSSIAN_FIELD, Q_FIELD))
 # Lengths on both sides of a square, where isqrt(N) and so the split between
-# the primes sieved one by one and those copied per cofactor moves.
-SIEVE_LENGTHS = (1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 50, 121, 168, 169, 170, 960, 961, 962,
-                 1000, 4096, 9408, 9409, 9410, 10007)
+# the primes sieved one by one and those copied per cofactor moves, and
+# around 6, 12, 36 and 216, where the wheel's slices [s::6s] and [5s::6s]
+# over the 2,3-smooth s gain entries.
+SIEVE_LENGTHS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 24, 25, 26, 35, 36, 37, 48, 49, 50, 121,
+                 168, 169, 170, 215, 216, 217, 960, 961, 962, 1000, 4096, 9408, 9409, 9410, 10007)
 
 
 def _oracle_table(key, n_max):
@@ -170,6 +172,20 @@ def _oracle_table(key, n_max):
 def test_coefficient_table_equals_the_convolution_oracle(key):
     for n_max in SIEVE_LENGTHS:
         assert coefficient_table(key, n_max) == _oracle_table(key, n_max), n_max
+
+
+@pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
+def test_wheel_products_fit_in_a_byte(key):
+    # The wheel writes a(2^i) a(3^j) a(p) as one byte for every 2,3-smooth
+    # s = 2^i 3^j and every large prime p (or none, a factor of 1); bytes()
+    # raises past 255, so every table up to the limit must stay below it.
+    local = zeta._local_factor(key)
+    e_max = TABLE_LENGTH_LIMIT.bit_length()
+    f2, f3 = local(2, e_max), local(3, e_max)
+    a_p = max(1, local(1, 1)[1], local(3, 1)[1])
+    largest = max(f2[i] * f3[j] for i in range(e_max) for j in range(e_max)
+                  if 2 ** i * 3 ** j <= TABLE_LENGTH_LIMIT)
+    assert largest * a_p <= 255
 
 
 @pytest.mark.parametrize("key", (QH, QB), ids=str)
