@@ -442,18 +442,20 @@ def _cmd_disc(args):
 def _cmd_ideal_count(args):
     from .zeta import coefficient_table
 
-    table = coefficient_table(parse_table_key(args.K), args.max)
-    rows = list(enumerate(table.values, start=1))
+    values = coefficient_table(parse_table_key(args.K), args.max).values
+    # the rows and lines are streamed: a table may hold 10^7 counts
     if args.out:
         import csv
 
         try:
             with open(args.out, "w", newline="") as handle:
-                csv.writer(handle).writerows([("n", "a_n")] + rows)
+                writer = csv.writer(handle)
+                writer.writerow(("n", "a_n"))
+                writer.writerows(enumerate(values, start=1))
         except OSError as exc:  # reported like bad input: exit 1, no traceback
             raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
-        return [], list(table.values)
-    return [f"{n} {a}" for n, a in rows], list(table.values)
+        return [], values
+    return (f"{n} {a}" for n, a in enumerate(values, start=1)), values
 
 
 def _cmd_zeta(args):

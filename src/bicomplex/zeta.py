@@ -14,13 +14,15 @@ in Z[i], that is on p mod 4.  The table of any extension whose components
 are Q or Q(i) is the Dirichlet convolution of its two component tables, so
 its local factors are the Cauchy products of theirs.
 
-:func:`coefficient_table` sieves with the local factors in three parts.
-The primes above isqrt(N), which divide each n <= N at most once, are
-marked all together by one strided byte copy per cofactor.  A wheel over 2
-and 3 then writes every count's 2,3-part times its large-prime factor as
-bytes, one translated slice per 2,3-smooth s and residue 1 or 5 mod 6.
-Last, the primes from 5 to isqrt(N) multiply in their factors one at a
-time.  :func:`zeta_partial` sums the same counts without building the table
+:func:`coefficient_table` sieves with the local factors on a byte array, in
+three parts.  The primes above isqrt(N), which divide each n <= N at most
+once, are marked all together by one strided byte copy per cofactor.  A
+wheel over 2 and 3 then writes every count's 2,3-part times its large-prime
+factor, one translated slice per 2,3-smooth s and residue 1 or 5 mod 6.
+Last, every power p^k of a prime from 5 to isqrt(N) multiplies its slice by
+a(p^k) in one translation that saturates at 255; the few counts left at 255
+are then recomputed as ints in ascending order from a(n) = a(p^k) a(n/p^k).
+:func:`zeta_partial` sums the same counts without building the table
 tuple, and :func:`dirichlet_convolve` is the independent oracle.  Tables
 longer than ``TABLE_LENGTH_LIMIT`` are refused before anything is
 allocated.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import compress, repeat
-from operator import add, mul, truediv
+from operator import add, truediv
 
 from .element import BicomplexElement
 from .numtheory import DomainError, WorkBudgetError, _Record, factorint
@@ -38,9 +40,9 @@ from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, Unsuppo
                     component_class)
 from .scalars import GaussianRational
 
-# The longest table built: a QB table of this length takes about 2 s and
-# 181 MiB at peak (Python 3.11, one core); ten times more would need
-# gigabytes of Python ints.
+# The longest table built: a QB table of this length takes about 0.7 s and
+# 176 MiB at peak, most of it the list and the tuple of the counts
+# (Python 3.11, one core); ten times more would need gigabytes.
 TABLE_LENGTH_LIMIT = 10 ** 7
 
 
@@ -189,6 +191,15 @@ class CoefficientTable(_Record):
         if min(self.values) < 0:
             raise ValueError("counts must be nonnegative")
 
+    @classmethod
+    def _of_sieve(cls, values: tuple[int, ...]) -> CoefficientTable:
+        """The table of :func:`coefficient_table`'s own counts, without the
+        O(N) checks: a(1) is 1, and every count is a byte or a product of
+        nonnegative local factors."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "values", values)
+        return table
+
     @property
     def N(self) -> int:
         return len(self.values)
@@ -274,19 +285,37 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
             counts[5 * s::6 * s] = big[5 * s::6 * s].translate(table)
             s, j = 3 * s, j + 1
         s2, i = 2 * s2, i + 1
+    # The primes from 5 to the root fold in their factors as bytes too, one
+    # saturating translation x -> min(x a(p^k), 255) per power p^k.  Every
+    # power's slice is read before any is written, so the last write to n,
+    # from the exact power p^k dividing it, multiplies n's value before p by
+    # a(p^k).  Saturation is monotone (255 a stays 255 for a >= 1, and a = 0
+    # gives an exact 0), so every byte below 255 is the exact count.
+    mids = [p for p in compress(range(5, root + 1), codes[5:root + 1]) if p % 4 in by_class]
+    for p in mids:
+        a, q, reads = by_class[p % 4], p, []
+        while q <= n_max:
+            reads.append((q, counts[q::q]))
+            q *= p
+        for k, (q, read) in enumerate(reads, start=1):
+            table = bytes(range(0, 255, a[k])).ljust(256, b"\xff") if a[k] else bytes(256)
+            counts[q::q] = read.translate(table)
     counts[0] = 1
     out = list(counts)
-    # The primes from 5 to the root one at a time, with their powers.
-    for p in compress(range(5, root + 1), codes[5:root + 1]):
-        if (a := by_class.get(p % 4)) is None:
-            continue
-        # factors[t] goes to the index (t+1)*p; p^k divides it when p^(k-1) divides t+1
-        factors = [a[1]] * (n_max // p)
-        k, q = 2, p
-        while q * p <= n_max:
-            factors[q - 1::q] = [a[k]] * (n_max // (q * p))
-            k, q = k + 1, q * p
-        out[p::p] = map(mul, out[p::p], factors)
+    # Fix up the 255s in ascending n: a(n) = a(p^k) a(n / p^k) for the least
+    # mid prime p and the power p^k exactly dividing n, and a(n / p^k) is
+    # either a byte below 255 or fixed earlier in this walk.  An n that no
+    # mid prime divides keeps its wheel byte, which is exact.
+    n = counts.find(255)
+    while n > 0:
+        for p in mids:
+            if n % p == 0:
+                m, k = n // p, 1
+                while m % p == 0:
+                    m, k = m // p, k + 1
+                out[n] = by_class[p % 4][k] * out[m]
+                break
+        n = counts.find(255, n + 1)
     return out
 
 
@@ -302,11 +331,15 @@ def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
     (mod 6), the n of one 2,3-part s = 2^i 3^j and one residue of m form a
     slice of step 6s, and one byte translation of the marks on it gives
     a(2^i) a(3^j) a(p) for all of them at once.  Each prime p from 5 to
-    isqrt(N) then multiplies the entries of its multiples by a(p^k) for the
-    exact power p^k dividing them.  Raises ``WorkBudgetError`` when N is
-    above ``TABLE_LENGTH_LIMIT``.
+    isqrt(N) then multiplies the bytes of its multiples by a(p^k) for the
+    exact power p^k dividing them, one translation per power that saturates
+    at 255.  Last, a walk in ascending n recomputes each count left at 255
+    as a(p^k) a(n / p^k), whose cofactor is already exact.  Raises
+    ``WorkBudgetError`` when N is above ``TABLE_LENGTH_LIMIT``.
     """
-    return CoefficientTable(tuple(_ideal_counts(field_or_extension, n_max)[1:]))
+    counts = _ideal_counts(field_or_extension, n_max)
+    del counts[0]  # a memmove, so the tuple is the one copy of the counts
+    return CoefficientTable._of_sieve(tuple(counts))
 
 
 def zeta_partial(field_or_extension, s, n_max: int) -> float:

@@ -7,7 +7,7 @@ import pytest
 from bicomplex import zeta
 from bicomplex.element import BicomplexElement
 from bicomplex.gaussian import exact_gaussian_div, gaussian_int, gaussian_norm
-from bicomplex.numtheory import WorkBudgetError
+from bicomplex.numtheory import WorkBudgetError, factorint
 from bicomplex.rings import (
     ExtensionDescriptor,
     GAUSSIAN_FIELD,
@@ -192,6 +192,27 @@ def test_wheel_products_fit_in_a_byte(key):
 def test_coefficient_table_equals_the_convolution_at_thirty_thousand(key):
     n_max = 30011  # a prime, so a(N) itself comes from the copied codes
     assert coefficient_table(key, n_max) == _oracle_table(key, n_max)
+
+
+def test_counts_past_a_byte_are_fixed_up_exactly():
+    # The primes from 5 to isqrt(N) multiply bytes that saturate at 255, and
+    # those counts are recomputed afterwards; QB first reaches 255 at
+    # 8840 = 2^3 5 13 17, where a = 256, and has 30 such counts up to 30011
+    # (the test above compares this table with the convolution oracle).
+    table = coefficient_table(QB, 30011)
+    assert table.a(8840) == 256 and max(table.values) > 255
+
+
+def test_hyperbolic_counts_past_a_byte_are_divisor_counts():
+    # Qh first reaches 255 at 1081080 = 2^3 3^3 5 7 11 13, with 256 divisors.
+    n_max = 1081080
+    table = coefficient_table(QH, n_max)
+    rng = random.Random(85)
+    samples = [n for n, a in enumerate(table.values, start=1) if a >= 200]
+    samples += [rng.randint(1, n_max) for _ in range(500)]
+    assert table.a(n_max) == 256 and n_max in samples
+    for n in samples:
+        assert table.a(n) == math.prod(e + 1 for e in factorint(n).values()), n
 
 
 @pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
