@@ -264,14 +264,15 @@ def low_degree_gaussian_roots(p: IntPoly) -> list[QuadRational] | None:
 
 
 MAX_ITERATIONS = 500
+TOL = 1e-10
 
 
-def numeric_roots(p: IntPoly, tol: float = 1e-10) -> list[complex]:
+def numeric_roots(p: IntPoly) -> list[complex]:
     """Approximate complex roots by simultaneous (Durand-Kerner) iteration.
 
     A floating cross-check oracle only; exact computations never consume its
     output.  Starts from perturbed points near the unit circle and stops when
-    the largest update drops below tol, raising RootConvergenceError at the
+    the largest update drops below TOL, raising RootConvergenceError at the
     iteration cap or as soon as an iterate overflows to inf or NaN.
     """
     if not is_squarefree(p):
@@ -302,20 +303,20 @@ def numeric_roots(p: IntPoly, tol: float = 1e-10) -> list[complex]:
             biggest = max(biggest, abs(step))
             updated.append(moved)
         guesses = updated
-        if biggest < tol:
-            _certify_roots(guesses, value, tol)
+        if biggest < TOL:
+            _certify_roots(guesses, value)
             return sorted(guesses, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     raise RootConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
 
 
-def _certify_roots(roots: list[complex], value, tol: float):
+def _certify_roots(roots: list[complex], value):
     """Residual-smallness and separation heuristic for converged iterates."""
     for i, z in enumerate(roots):
         scale = max(1.0, abs(z)) ** len(roots)
-        if abs(value(z)) > 1e6 * tol * scale:
+        if abs(value(z)) > 1e6 * TOL * scale:
             raise RootConvergenceError(f"residual too large at {z}")
         for w in roots[i + 1:]:
-            if abs(z - w) <= 2 * tol:
+            if abs(z - w) <= 2 * TOL:
                 raise RootConvergenceError(f"roots {z} and {w} did not separate")
 
 

@@ -360,7 +360,7 @@ def _cmd_roots(args):
 
     poly, sources = _input_int_poly(args)
     if not args.bicomplex:
-        approx = numeric_roots(poly, tol=args.tol)
+        approx = numeric_roots(poly)
         lines = [f"{z.real:.12g}{z.imag:+.12g}*i" for z in approx]
         return lines, {"roots": [[z.real, z.imag] for z in approx]}
     if args.poly is not None and not is_squarefree(poly):
@@ -539,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("roots", _cmd_roots, "numeric roots, or exact bicomplex root loci")
     poly_source(p)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--bicomplex", action="store_true",
                    help="enumerate the n^2 bicomplex roots exactly by locus")
 
@@ -592,8 +591,7 @@ def main(argv=None) -> int:
 
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 

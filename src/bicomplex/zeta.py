@@ -15,13 +15,12 @@ are Q or Q(i) is the Dirichlet convolution of its two component tables, so
 its local factors are the Cauchy products of theirs.
 
 :func:`coefficient_table` sieves with the local factors on a byte array, in
-three parts.  The primes above isqrt(N), which divide each n <= N at most
-once, are marked all together by one strided byte copy per cofactor.  A
-wheel over 2 and 3 then writes every count's 2,3-part times its large-prime
-factor, one translated slice per 2,3-smooth s and residue 1 or 5 mod 6.
-Last, every power p^k of a prime from 5 to isqrt(N) multiplies its slice by
-a(p^k) in one translation that saturates at 255; the few counts left at 255
-are then recomputed as ints in ascending order from a(n) = a(p^k) a(n/p^k).
+two passes.  The primes above isqrt(N), which divide each n <= N at most
+once, are marked all together by one strided byte copy per cofactor, and
+one translation turns every mark into a(p), or into 1 where n has no such
+prime.  Then every power p^k of a prime up to isqrt(N) multiplies its slice
+by a(p^k) in one translation that saturates at 255; the few counts left at
+255 are recomputed as ints in ascending order from a(n) = a(p^k) a(n/p^k).
 :func:`zeta_partial` sums the same counts without building the table
 tuple, and :func:`dirichlet_convolve` is the independent oracle.  Tables
 longer than ``TABLE_LENGTH_LIMIT`` are refused before anything is
@@ -40,8 +39,8 @@ from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, Unsuppo
                     component_class)
 from .scalars import GaussianRational
 
-# The longest table built: a QB table of this length takes about 0.7 s and
-# 176 MiB at peak, most of it the list and the tuple of the counts
+# The longest table built: a QB table of this length takes about 0.9 s and
+# 183 MiB at peak, most of it the list and the tuple of the counts
 # (Python 3.11, one core); ten times more would need gigabytes.
 TABLE_LENGTH_LIMIT = 10 ** 7
 
@@ -256,43 +255,30 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
     if not by_class:
         return [1] * (n_max + 1)
     codes, root = _prime_codes(n_max), math.isqrt(n_max)
-    # Primes from low on: n <= n_max has at most one, p, to the first power
-    # (low > root, and low >= 5 keeps 2 and 3 out), and n = m*p with
-    # m <= n_max // low.  For ascending m the copy writes codes[j] to
-    # big[m*j] for every j in [low, n_max // m].  The last write to an n
-    # comes from its least divisor j from low on: when n has a large prime p
-    # that is p itself, since every such divisor contains p (a composite
-    # j = p*t writes first and the larger cofactor m*t overwrites it later);
-    # when n has none, j is composite and writes 0; an n < low is never
-    # written.
-    big, low = bytearray(n_max + 1), max(root + 1, 5)
+    # Primes above the root: n <= n_max has at most one, p, to the first
+    # power, and n = m*p with m <= n_max // low.  For ascending m the copy
+    # writes codes[j] to counts[m*j] for every j in [low, n_max // m].  The
+    # last write to an n comes from its least divisor j from low on: when n
+    # has a large prime p that is p itself, since every such divisor
+    # contains p (a composite j = p*t writes first and the larger cofactor
+    # m*t overwrites it later); when n has none, j is composite and writes
+    # 0; an n < low is never written.  One translate then turns the code of
+    # n's large prime into a(p), and code 0 (no large prime) into 1; code 1
+    # (0 mod 4) never marks a prime.  bytes() raises rather than wraps past
+    # 255 (tests/test_zeta.py checks that every a(p) is a byte).
+    counts, low = bytearray(n_max + 1), root + 1
     for m in range(1, n_max // low + 1):
-        big[m * low::m] = codes[low:n_max // m + 1]
-    # The wheel: n = 2^i * 3^j * m with m = 1 or 5 (mod 6), so the slices
-    # [s::6s] and [5s::6s] over the 2,3-smooth s = 2^i * 3^j partition
-    # 1..n_max.  On both, one translate turns the code of n's large prime p
-    # into a(2^i) a(3^j) a(p), and code 0 (no large prime) into
-    # a(2^i) a(3^j); codes 1 and 3 (0 and 2 mod 4) never mark a large prime.
-    # bytes() raises rather than wraps past 255; the products stay below it
-    # up to TABLE_LENGTH_LIMIT (tests/test_zeta.py checks it).
-    large, f2, f3 = (1, 1, local(1, 1)[1], 1, local(3, 1)[1]), local(2, e_max), local(3, e_max)
-    counts, s2, i = bytearray(n_max + 1), 1, 0
-    while s2 <= n_max:
-        s, j = s2, 0
-        while s <= n_max:
-            table = bytes([f2[i] * f3[j] * a for a in large]).ljust(256, b"\0")
-            counts[s::6 * s] = big[s::6 * s].translate(table)
-            counts[5 * s::6 * s] = big[5 * s::6 * s].translate(table)
-            s, j = 3 * s, j + 1
-        s2, i = 2 * s2, i + 1
-    # The primes from 5 to the root fold in their factors as bytes too, one
+        counts[m * low::m] = codes[low:n_max // m + 1]
+    large = bytes([1, 1, *(local(r, 1)[1] for r in (1, 2, 3))])
+    counts = counts.translate(large.ljust(256, b"\0"))
+    # Every prime up to the root folds in its factors as bytes, one
     # saturating translation x -> min(x a(p^k), 255) per power p^k.  Every
     # power's slice is read before any is written, so the last write to n,
     # from the exact power p^k dividing it, multiplies n's value before p by
     # a(p^k).  Saturation is monotone (255 a stays 255 for a >= 1, and a = 0
     # gives an exact 0), so every byte below 255 is the exact count.
-    mids = [p for p in compress(range(5, root + 1), codes[5:root + 1]) if p % 4 in by_class]
-    for p in mids:
+    smalls = [p for p in compress(range(root + 1), codes[:root + 1]) if p % 4 in by_class]
+    for p in smalls:
         a, q, reads = by_class[p % 4], p, []
         while q <= n_max:
             reads.append((q, counts[q::q]))
@@ -300,15 +286,14 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
         for k, (q, read) in enumerate(reads, start=1):
             table = bytes(range(0, 255, a[k])).ljust(256, b"\xff") if a[k] else bytes(256)
             counts[q::q] = read.translate(table)
-    counts[0] = 1
     out = list(counts)
     # Fix up the 255s in ascending n: a(n) = a(p^k) a(n / p^k) for the least
-    # mid prime p and the power p^k exactly dividing n, and a(n / p^k) is
+    # folded prime p and the power p^k exactly dividing n, and a(n / p^k) is
     # either a byte below 255 or fixed earlier in this walk.  An n that no
-    # mid prime divides keeps its wheel byte, which is exact.
+    # folded prime divides keeps its translated byte, which is exact.
     n = counts.find(255)
     while n > 0:
-        for p in mids:
+        for p in smalls:
             if n % p == 0:
                 m, k = n // p, 1
                 while m % p == 0:
@@ -327,14 +312,12 @@ def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
     local factors a(p^k), which depend on p only through p mod 4.  Each
     n <= N has at most one prime above isqrt(N), to the first power; a byte
     array marking the mod-4 class of that prime for every n is built by one
-    strided copy per cofactor.  Writing n = 2^i 3^j m with m = 1 or 5
-    (mod 6), the n of one 2,3-part s = 2^i 3^j and one residue of m form a
-    slice of step 6s, and one byte translation of the marks on it gives
-    a(2^i) a(3^j) a(p) for all of them at once.  Each prime p from 5 to
-    isqrt(N) then multiplies the bytes of its multiples by a(p^k) for the
-    exact power p^k dividing them, one translation per power that saturates
-    at 255.  Last, a walk in ascending n recomputes each count left at 255
-    as a(p^k) a(n / p^k), whose cofactor is already exact.  Raises
+    strided copy per cofactor, and one byte translation turns the marks into
+    a(p), or 1 for no such prime.  Each prime p up to isqrt(N) then
+    multiplies the bytes of its multiples by a(p^k) for the exact power p^k
+    dividing them, one translation per power that saturates at 255.  Last,
+    a walk in ascending n recomputes each count left at 255 as
+    a(p^k) a(n / p^k), whose cofactor is already exact.  Raises
     ``WorkBudgetError`` when N is above ``TABLE_LENGTH_LIMIT``.
     """
     counts = _ideal_counts(field_or_extension, n_max)

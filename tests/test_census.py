@@ -285,7 +285,7 @@ def test_low_degree_gaussian_roots():
 
 
 def test_numeric_roots_examples():
-    roots = numeric_roots(IntPoly.of(1, 0, 1), tol=1e-10)
+    roots = numeric_roots(IntPoly.of(1, 0, 1))
     assert sorted(round(z.imag, 6) for z in roots) == [-1.0, 1.0]
     roots = numeric_roots(IntPoly.of(-8, 4, -2, 1))
     expected = {complex(2, 0), complex(0, 2), complex(0, -2)}

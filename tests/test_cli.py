@@ -294,6 +294,8 @@ def test_cli_zeta_exponent_past_the_float_range(capsys, s):
     (["zeta", "--K", "Q", "--s", "1/0", "--N", "10"], "--s"),
     (["zeta", "--K", "Q", "--s", "two", "--N", "10"], "--s"),
     (["disc", "--L", "custom:Q(sqrt:abc),Q"], "Q(sqrt:abc)"),
+    # the numeric root finder's tolerance is the constant census.TOL
+    (["roots", "--poly", "X^2 + 1", "--tol", "0.5"], "--tol"),
 ])
 def test_cli_bad_input_exits_1_naming_the_argument(capsys, argv, named):
     code, out, err = run(capsys, *argv)

@@ -147,9 +147,8 @@ def test_coefficient_table_of_c2_extension():
 
 SIEVE_KEYS = (Q_FIELD, GAUSSIAN_FIELD, QH, QB, L_C2, ExtensionDescriptor(GAUSSIAN_FIELD, Q_FIELD))
 # Lengths on both sides of a square, where isqrt(N) and so the split between
-# the primes sieved one by one and those copied per cofactor moves, and
-# around 6, 12, 36 and 216, where the wheel's slices [s::6s] and [5s::6s]
-# over the 2,3-smooth s gain entries.
+# the primes folded in one by one and those copied per cofactor moves: at
+# 3/4, 8/9 and 24/25/26, 2, 3 and 5 move from the copy to the fold.
 SIEVE_LENGTHS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 24, 25, 26, 35, 36, 37, 48, 49, 50, 121,
                  168, 169, 170, 215, 216, 217, 960, 961, 962, 1000, 4096, 9408, 9409, 9410, 10007)
 
@@ -175,17 +174,12 @@ def test_coefficient_table_equals_the_convolution_oracle(key):
 
 
 @pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
-def test_wheel_products_fit_in_a_byte(key):
-    # The wheel writes a(2^i) a(3^j) a(p) as one byte for every 2,3-smooth
-    # s = 2^i 3^j and every large prime p (or none, a factor of 1); bytes()
-    # raises past 255, so every table up to the limit must stay below it.
+def test_large_prime_factors_fit_in_a_byte(key):
+    # The one byte table that does not saturate: the translation of the mark
+    # of n's prime above isqrt(N) into a(p).  bytes() raises past 255, so
+    # a(p) must be a byte in every class of p mod 4.
     local = zeta._local_factor(key)
-    e_max = TABLE_LENGTH_LIMIT.bit_length()
-    f2, f3 = local(2, e_max), local(3, e_max)
-    a_p = max(1, local(1, 1)[1], local(3, 1)[1])
-    largest = max(f2[i] * f3[j] for i in range(e_max) for j in range(e_max)
-                  if 2 ** i * 3 ** j <= TABLE_LENGTH_LIMIT)
-    assert largest * a_p <= 255
+    assert all(local(r, 1)[1] <= 255 for r in (1, 2, 3))
 
 
 @pytest.mark.parametrize("key", (QH, QB), ids=str)
@@ -195,7 +189,7 @@ def test_coefficient_table_equals_the_convolution_at_thirty_thousand(key):
 
 
 def test_counts_past_a_byte_are_fixed_up_exactly():
-    # The primes from 5 to isqrt(N) multiply bytes that saturate at 255, and
+    # The primes up to isqrt(N) multiply bytes that saturate at 255, and
     # those counts are recomputed afterwards; QB first reaches 255 at
     # 8840 = 2^3 5 13 17, where a = 256, and has 30 such counts up to 30011
     # (the test above compares this table with the convolution oracle).
