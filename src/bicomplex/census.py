@@ -201,7 +201,7 @@ def locus_factors(roots, lead: int = 1) -> LocusFactors:
     roots, _ = _checked_roots(roots)
     if lead <= 0:
         raise ValueError("leading coefficient must be positive")
-    real_f = pair_f = one = IntPoly((1,))
+    real_f = pair_f = one = IntPoly._make((1,))
     for root in roots:
         if root.im == 0:
             real_f *= minpoly_component(root)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import islice
 
 # Every subcommand needs the element layer (which loads scalars and
 # numtheory); the other modules are imported by the handler that uses them,
@@ -346,12 +347,17 @@ _CENSUS_ROWS = (
 
 def _cmd_census(args):
     from .census import census, census_cyclotomic
+    from .polys import cyclotomic
 
-    poly, _ = _input_int_poly(args)
-    result = census(poly) if args.cyclotomic is None else census_cyclotomic(args.cyclotomic)
-    lines = [f"polynomial: {poly}"]
-    lines += [f"{label}: {getattr(result, key)}" for label, key in _CENSUS_ROWS if label]
-    return lines, {key: getattr(result, key) for _, key in _CENSUS_ROWS}
+    # the closed form needs only N; Phi_N is built for the text line alone
+    poly = None if args.cyclotomic is not None else _input_int_poly(args)[0]
+    result = census_cyclotomic(args.cyclotomic) if poly is None else census(poly)
+
+    def lines():
+        yield f"polynomial: {cyclotomic(args.cyclotomic) if poly is None else poly}"
+        yield from (f"{label}: {getattr(result, key)}" for label, key in _CENSUS_ROWS if label)
+
+    return lines(), {key: getattr(result, key) for _, key in _CENSUS_ROWS}
 
 
 def _cmd_roots(args):
@@ -365,6 +371,9 @@ def _cmd_roots(args):
         return lines, {"roots": [[z.real, z.imag] for z in approx]}
     if args.poly is not None and not is_squarefree(poly):
         raise ValueError("roots --bicomplex is defined for squarefree polynomials only")
+    if args.element is None and poly.degree > 2:  # an element's components have degree <= 2
+        raise ValueError("roots --bicomplex takes degrees 1 and 2 only, or an element with "
+                         f"--element; this polynomial has degree {poly.degree}")
     roots = gaussian_root_set(sources)
     if roots is None:
         raise ValueError("roots are not Gaussian rationals; rerun without --bicomplex")
@@ -591,7 +600,10 @@ def main(argv=None) -> int:
 
         print(json.dumps(payload, sort_keys=True))
     else:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        # one write per chunk of lines: an unbuffered stdout writes each call through
+        lines = iter(lines)
+        while chunk := "".join([f"{line}\n" for line in islice(lines, 4096)]):
+            sys.stdout.write(chunk)
     return 0
 
 

@@ -14,6 +14,7 @@ complex-conjugates both; axis k does both at once.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .numtheory import DomainError
 from .scalars import (
@@ -28,7 +29,6 @@ from .scalars import (
 )
 
 CONJUGATION_AXES = ("i", "j", "k")
-_set_slot = object.__setattr__
 
 
 class NullConeError(DomainError, ZeroDivisionError):
@@ -39,9 +39,12 @@ class NullConeError(DomainError, ZeroDivisionError):
 class BicomplexElement:
     """A bicomplex number given by its two idempotent components.
 
-    Immutable: ``c1`` and ``c2`` are set once, by ``__init__``."""
+    Immutable, as ``QuadRational`` is: ``c1`` and ``c2`` are read-only
+    properties over private slots that only ``__init__`` sets, so they can
+    be neither assigned nor deleted, and pickle and ``copy`` restore the
+    slots directly."""
 
-    __slots__ = ("c1", "c2")
+    __slots__ = ("_c1", "_c2")
 
     def __init__(self, c1, c2):
         if isinstance(c1, int):
@@ -51,18 +54,10 @@ class BicomplexElement:
         if isinstance(c1, QuadRational) and isinstance(c2, QuadRational) and c1.D != c2.D:
             raise MixedScalarError(
                 f"idempotent components must share a radicand: {c1!r}, {c2!r}")
-        _set_slot(self, "c1", c1)
-        _set_slot(self, "c2", c2)
+        self._c1, self._c2 = c1, c2
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        """Pickle and copy rebuild through ``__init__``: the slots refuse assignment."""
-        return BicomplexElement, (self.c1, self.c2)
+    c1 = property(attrgetter("_c1"))
+    c2 = property(attrgetter("_c2"))
 
     # -- constructors ------------------------------------------------------
 
@@ -88,7 +83,7 @@ class BicomplexElement:
         """
         if not self.has_cartesian_view:
             raise ValueError(f"{self!r} has no Cartesian view")
-        g1, g2 = as_gaussian(self.c1), as_gaussian(self.c2)
+        g1, g2 = as_gaussian(self._c1), as_gaussian(self._c2)
         two = Fraction(2)
         return ((g1.re + g2.re) / two, (g1.im + g2.im) / two,
                 (g1.re - g2.re) / two, (g1.im - g2.im) / two)
@@ -97,27 +92,27 @@ class BicomplexElement:
     def has_cartesian_view(self) -> bool:
         """Whether both components lie in Q(i)."""
         return all(not isinstance(c, QuadRational) or c.D == -1 or not c.b
-                   for c in (self.c1, self.c2))
+                   for c in (self._c1, self._c2))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: BicomplexElement) -> BicomplexElement:
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return BicomplexElement(self.c1 + other.c1, self.c2 + other.c2)
+        return BicomplexElement(self._c1 + other._c1, self._c2 + other._c2)
 
     def __sub__(self, other: BicomplexElement) -> BicomplexElement:
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return BicomplexElement(self.c1 - other.c1, self.c2 - other.c2)
+        return BicomplexElement(self._c1 - other._c1, self._c2 - other._c2)
 
     def __neg__(self) -> BicomplexElement:
-        return BicomplexElement(-self.c1, -self.c2)
+        return BicomplexElement(-self._c1, -self._c2)
 
     def __mul__(self, other: BicomplexElement) -> BicomplexElement:
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return BicomplexElement(self.c1 * other.c1, self.c2 * other.c2)
+        return BicomplexElement(self._c1 * other._c1, self._c2 * other._c2)
 
     def __pow__(self, n: int) -> BicomplexElement:
         if n < 0:
@@ -126,32 +121,32 @@ class BicomplexElement:
 
     def scale(self, q) -> BicomplexElement:
         """Multiply by a plain rational."""
-        return BicomplexElement(q * self.c1, q * self.c2)
+        return BicomplexElement(q * self._c1, q * self._c2)
 
     def invert(self) -> BicomplexElement:
         """Componentwise inverse; the null cone is exactly where it fails."""
         if self.in_null_cone:
             raise NullConeError(f"{self} has a zero idempotent component")
-        return BicomplexElement(1 / self.c1, 1 / self.c2)
+        return BicomplexElement(1 / self._c1, 1 / self._c2)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.c1 or self.c2)
+        return not (self._c1 or self._c2)
 
     @property
     def in_null_cone(self) -> bool:
-        return not (self.c1 and self.c2)
+        return not (self._c1 and self._c2)
 
     # -- conjugations and norm ----------------------------------------------
 
     def conjugate(self, axis: str) -> BicomplexElement:
         """The involution for the given axis in {'i', 'j', 'k'}."""
         if axis == "i":
-            return BicomplexElement(self.c2, self.c1)
+            return BicomplexElement(self._c2, self._c1)
         if axis == "j":
-            return BicomplexElement(self.c1.conjugate(), self.c2.conjugate())
+            return BicomplexElement(self._c1.conjugate(), self._c2.conjugate())
         if axis == "k":
-            return BicomplexElement(self.c2.conjugate(), self.c1.conjugate())
+            return BicomplexElement(self._c2.conjugate(), self._c1.conjugate())
         raise ValueError(f"conjugation axis must be one of i, j, k, not {axis!r}")
 
     def norm(self):
@@ -162,7 +157,7 @@ class BicomplexElement:
         real quadratic components the exact (generally irrational) value is
         returned as a QuadRational.
         """
-        return abs_sq(self.c1 * self.c2)
+        return abs_sq(self._c1 * self._c2)
 
     def coordinate_recovery_check(self) -> bool:
         """Verify the four conjugation averages reproduce (x, y, z, t)."""
@@ -182,10 +177,10 @@ class BicomplexElement:
     def __eq__(self, other):
         if not isinstance(other, BicomplexElement):
             return NotImplemented
-        return (self.c1, self.c2) == (other.c1, other.c2)
+        return (self._c1, self._c2) == (other._c1, other._c2)
 
     def __hash__(self):
-        return hash((self.c1, self.c2))
+        return hash((self._c1, self._c2))
 
     def __str__(self) -> str:
         if self.has_cartesian_view:
@@ -193,7 +188,7 @@ class BicomplexElement:
         return idempotent_literal(self)
 
     def __repr__(self) -> str:
-        return f"BicomplexElement({self.c1!r}, {self.c2!r})"
+        return f"BicomplexElement({self._c1!r}, {self._c2!r})"
 
 
 def format_cartesian(coords) -> str:

@@ -12,7 +12,8 @@ The module also holds what every other module shares: ``DomainError``, the
 marker base of the errors that mean "outside the domain", and ``_Record``,
 the base of the package's immutable result records (``Census``,
 ``UnitGroupInfo``, ``Poly`` and the rest), which stands in for frozen
-dataclasses so that only factoring loads ``dataclasses``.
+dataclasses so that only factoring loads ``dataclasses``.  Records are checked
+in ``__post_init__``; ``_Record._make`` is for values that pass by construction.
 
 >>> factorint(4999)
 {4999: 1}
@@ -55,7 +56,11 @@ class _Record:
     name and then runs the class's ``__post_init__`` checks, the fields live
     in the instance ``__dict__`` and cannot be assigned or deleted, records
     are equal when they are of one class with equal fields, the hash is that
-    of the field tuple, and the repr is ``Name(field=value, ...)``.
+    of the field tuple, and the repr is ``Name(field=value, ...)``.  A subclass
+    checks its fields in ``__post_init__`` and defines no ``__init__``;
+    ``_make`` skips the checks, so it is only for values that hold them by
+    construction (a product of primitive polynomials is primitive, by Gauss's
+    lemma), while outside input goes through ``__init__``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -81,6 +86,15 @@ class _Record:
         for name, value in values.items():
             object.__setattr__(self, name, value)
         self.__post_init__()
+
+    @classmethod
+    def _make(cls, *values):
+        """The record of its field values, given in order, without ``__post_init__``;
+        set one by one, as in ``__init__``, they keep CPython's compact instance dict."""
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(record, name, value)
+        return record
 
     def __post_init__(self):
         """Checks of the fields, run by ``__init__``; none unless overridden."""

@@ -54,9 +54,6 @@ class Poly(_Record):
 
     coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
     @staticmethod
     def of(*coeffs) -> Poly:
         """Build a polynomial from numbers, lowest degree first.
@@ -155,8 +152,8 @@ class IntPoly(_Record):
 
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: tuple[int, ...]):
-        if not coeffs:
+    def __post_init__(self):
+        if not (coeffs := self.coeffs):
             raise ValueError("IntPoly cannot be the zero polynomial")
         if any(not isinstance(c, int) for c in coeffs):
             raise TypeError("IntPoly coefficients must be int")
@@ -164,7 +161,6 @@ class IntPoly(_Record):
             raise ValueError("IntPoly leading coefficient must be positive")
         if math.gcd(*coeffs) != 1:
             raise ValueError("IntPoly must be primitive")
-        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def of(*coeffs: int) -> IntPoly:
@@ -192,12 +188,12 @@ class IntPoly(_Record):
         if not isinstance(other, IntPoly):
             return NotImplemented
         # Gauss's lemma: a product of primitive polynomials is primitive.
-        return IntPoly(tuple(_convolve(self.coeffs, other.coeffs)))
+        return IntPoly._make(tuple(_convolve(self.coeffs, other.coeffs)))
 
     def __pow__(self, n: int) -> IntPoly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        return power(self, n, IntPoly((1,)))
+        return power(self, n, IntPoly._make((1,)))
 
 
 def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
@@ -216,7 +212,7 @@ def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
-    return Fraction(g, den), IntPoly(tuple([c // g for c in ints]))
+    return Fraction(g, den), IntPoly._make(tuple([c // g for c in ints]))
 
 
 def poly_product(factors) -> Poly:
@@ -229,7 +225,7 @@ def poly_product(factors) -> Poly:
     >>> poly_product([Poly.of(Fraction(1, 2), 1), Poly.of(-3, 1), Poly.of(0, -2)])
     Poly('-2*X^3 + 5*X^2 + 3*X')
     """
-    scale, prim = Fraction(1), IntPoly((1,))
+    scale, prim = Fraction(1), IntPoly._make((1,))
     for p in factors:
         if p.is_zero:
             return p
@@ -401,7 +397,7 @@ def cyclotomic(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if n == 1:
-        return IntPoly((-1, 1))
+        return IntPoly._make((-1, 1))
     primes, top = list(factorint(n)), totient(n)
     c = [1] + [0] * top
     for size in range(len(primes) + 1):
@@ -413,7 +409,7 @@ def cyclotomic(n: int) -> IntPoly:
             else:  # multiply by 1 - X^d
                 for i in range(top, d - 1, -1):
                     c[i] -= c[i - d]
-    return IntPoly(tuple(c))
+    return IntPoly._make(tuple(c))
 
 
 def format_poly(p: Poly | IntPoly) -> str:

@@ -190,15 +190,6 @@ class CoefficientTable(_Record):
         if min(self.values) < 0:
             raise ValueError("counts must be nonnegative")
 
-    @classmethod
-    def _of_sieve(cls, values: tuple[int, ...]) -> CoefficientTable:
-        """The table of :func:`coefficient_table`'s own counts, without the
-        O(N) checks: a(1) is 1, and every count is a byte or a product of
-        nonnegative local factors."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "values", values)
-        return table
-
     @property
     def N(self) -> int:
         return len(self.values)
@@ -306,23 +297,14 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
 
 def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
     """Ideal counts a(1..N) for Q, Q(i) and any extension whose components
-    are among them.
-
-    The counts are multiplicative, so a sieve builds the table from the
-    local factors a(p^k), which depend on p only through p mod 4.  Each
-    n <= N has at most one prime above isqrt(N), to the first power; a byte
-    array marking the mod-4 class of that prime for every n is built by one
-    strided copy per cofactor, and one byte translation turns the marks into
-    a(p), or 1 for no such prime.  Each prime p up to isqrt(N) then
-    multiplies the bytes of its multiples by a(p^k) for the exact power p^k
-    dividing them, one translation per power that saturates at 255.  Last,
-    a walk in ascending n recomputes each count left at 255 as
-    a(p^k) a(n / p^k), whose cofactor is already exact.  Raises
-    ``WorkBudgetError`` when N is above ``TABLE_LENGTH_LIMIT``.
+    are among them, sieved from the local factors as the module docstring
+    describes.  Raises ``WorkBudgetError`` when N is above
+    ``TABLE_LENGTH_LIMIT``.
     """
     counts = _ideal_counts(field_or_extension, n_max)
     del counts[0]  # a memmove, so the tuple is the one copy of the counts
-    return CoefficientTable._of_sieve(tuple(counts))
+    # no O(N) checks: a(1) = 1, and each count is a byte or a product of nonnegative ones
+    return CoefficientTable._make(tuple(counts))
 
 
 def zeta_partial(field_or_extension, s, n_max: int) -> float:

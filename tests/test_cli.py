@@ -296,6 +296,11 @@ def test_cli_zeta_exponent_past_the_float_range(capsys, s):
     (["disc", "--L", "custom:Q(sqrt:abc),Q"], "Q(sqrt:abc)"),
     # the numeric root finder's tolerance is the constant census.TOL
     (["roots", "--poly", "X^2 + 1", "--tol", "0.5"], "--tol"),
+    # exact bicomplex roots of a polynomial past degree 2 are out of reach
+    (["roots", "--cyclotomic", "5", "--bicomplex"],
+     "--bicomplex takes degrees 1 and 2 only, or an element with --element"),
+    (["roots", "--poly", "X^3 - X", "--bicomplex"],
+     "--bicomplex takes degrees 1 and 2 only, or an element with --element"),
 ])
 def test_cli_bad_input_exits_1_naming_the_argument(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -469,6 +474,13 @@ def test_cli_tables_exit_2_past_the_table_length_limit(argv):
     done = run_subprocess(*argv, timeout=30)
     assert (done.returncode, done.stdout) == (2, "")
     assert str(TABLE_LENGTH_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
+def test_cli_census_cyclotomic_json_does_not_build_the_polynomial():
+    # the closed form needs only N; Phi_N of degree 10^7 took about 15 s to build
+    done = run_subprocess("census", "--cyclotomic", "10000019", "--json", timeout=10)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["degree"] == 10000018
 
 
 @pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,48 @@ def test_int_poly_invariants():
         IntPoly.of(1, -1)  # negative lead
     with pytest.raises(ValueError):
         IntPoly.of()  # zero polynomial
+
+
+def _random_primitive(rng) -> IntPoly:
+    """A primitive integer polynomial of degree 0..8 with coefficients of up
+    to 40 bits, through the checked constructor."""
+    coeffs = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(rng.randrange(9))]
+    coeffs.append(rng.randrange(1, 1 << 40))
+    g = math.gcd(*coeffs)
+    return IntPoly(tuple([c // g for c in coeffs]))
+
+
+def test_trusted_kernel_results_pass_the_checked_constructor():
+    # products, powers, primitive parts and cyclotomics are built by
+    # _Record._make, without IntPoly's checks: each must still pass them
+    rng = random.Random(37)
+    for _ in range(200):
+        p, q = _random_primitive(rng), _random_primitive(rng)
+        for result in [p * q] + [p ** n for n in range(7)]:
+            assert IntPoly(result.coeffs) == result
+        rational = Poly.of(*(Fraction(rng.randrange(-99, 100), rng.randrange(1, 50))
+                             for _ in range(rng.randrange(8))), rng.choice((-1, 1)))
+        prim = content_primitive(rational)[1]
+        assert IntPoly(prim.coeffs) == prim
+    for phi in map(cyclotomic, range(1, 201)):
+        assert IntPoly(phi.coeffs) == phi
+
+
+def test_make_takes_no_more_memory_than_init():
+    # setting the fields one by one keeps CPython's compact instance dict;
+    # record.__dict__.update would build a full dict (about 150 B more each)
+    coeffs = [(i, 1) for i in range(2000)]
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            records = [build(c) for c in coeffs]
+            return tracemalloc.get_traced_memory()[0] // len(records)
+        finally:
+            tracemalloc.stop()
+
+    made, checked = (min(traced(build) for _ in range(2)) for build in (IntPoly._make, IntPoly))
+    assert made <= checked
 
 
 # -- sympy as an independent oracle ---------------------------------------------
