@@ -1,19 +1,22 @@
 """Dense exact polynomials over the rationals and primitive integer polynomials.
 
-A polynomial is a tuple of coefficients, lowest degree first, so
-``Poly.of(-8, 4, -2, 1)`` is ``X^3 - 2*X^2 + 4*X - 8``; the zero polynomial is
-the empty tuple.  :class:`Poly` has :class:`fractions.Fraction` coefficients;
-:class:`IntPoly` has integer ones in the minimal-polynomial normal form used
-throughout this package (primitive, positive leading coefficient).
+Coefficients are listed lowest degree first, so ``Poly.of(-8, 4, -2, 1)`` is
+``X^3 - 2*X^2 + 4*X - 8``.  A :class:`Poly` is integer numerators over one
+positive denominator, ``num`` and ``den``, with no factor common to all of
+them; the zero polynomial is ``((), 1)``.  Its :class:`fractions.Fraction`
+coefficients, ``coeffs``, are a view derived on demand for printing and JSON,
+and every kernel works on the integers.  :class:`IntPoly` has integer
+coefficients in the minimal-polynomial normal form used throughout this
+package (primitive, positive leading coefficient).
 
-Products follow Gauss's lemma: a product of rational polynomials is
-the product of their contents times the product of their primitive parts, so
-each factor is split once, the primitive parts are multiplied as integer
-polynomials, and the result is scaled back to rationals once.  The gcd is one
-integer pseudo-remainder sequence.  A gcd(p, p') mod one word-size prime
-proves most polynomials squarefree without it.  Real roots are counted by
-Descartes' rule of signs on integer Taylor shifts, as continued fractions
-that step past a lower bound on the positive roots.
+Products follow Gauss's lemma: a product of rational polynomials is the
+product of their contents times the product of their primitive parts, so each
+factor's content is one gcd of its numerators, the primitive parts are
+multiplied as integer polynomials, and only the product of the scales is
+reduced.  The gcd is one integer pseudo-remainder sequence.  A gcd(p, p') mod
+one word-size prime proves most polynomials squarefree without it.  Real roots
+are counted by Descartes' rule of signs on integer Taylor shifts, as continued
+fractions that step past a lower bound on the positive roots.
 """
 from __future__ import annotations
 
@@ -43,16 +46,39 @@ def _convolve(a, b) -> list[int]:
     return out
 
 
-def _cleared(coeffs) -> tuple[int, list[int]]:
-    """The lcm L of the denominators of nonzero rationals, and L times each."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+def _reduced(num, den: int) -> Poly:
+    """The polynomial with integer numerators num over a nonzero den: trimmed,
+    the sign of den moved into num, and their common factor divided out."""
+    num = _trim(num)
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num, den = tuple([c // g for c in num]), den // g
+    return Poly._make(num, den)
 
 
 class Poly(_Record):
-    """A dense polynomial with exact rational coefficients."""
+    """A dense polynomial with exact rational coefficients num[k] / den.
 
-    coeffs: tuple[Fraction, ...]
+    ``num`` is a tuple of ints, lowest degree first, without trailing zeros,
+    and ``den`` a positive int sharing no factor with all of them, so equal
+    polynomials have equal fields; zero is ``((), 1)``.
+    """
+
+    num: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        num, den = self.num, self.den
+        if any(not isinstance(c, int) for c in num) or not isinstance(den, int):
+            raise TypeError("Poly numerators and denominator must be int")
+        if den <= 0:
+            raise ValueError("Poly denominator must be positive")
+        if num and not num[-1]:
+            raise ValueError("Poly numerators must not end in a zero")
+        if math.gcd(den, *num) != 1:
+            raise ValueError("Poly numerators and denominator must have no common factor")
 
     @staticmethod
     def of(*coeffs) -> Poly:
@@ -61,44 +87,56 @@ class Poly(_Record):
         >>> Poly.of(-1, 0, 1)
         Poly('X^2 - 1')
         """
-        return Poly(_trim([Fraction(c) for c in coeffs]))
+        coeffs = [Fraction(c) for c in coeffs]
+        # over the lcm of reduced denominators, each prime of it is missing
+        # from the numerator of a coefficient whose denominator holds it fully
+        den = math.lcm(*[c.denominator for c in coeffs])
+        return Poly._make(_trim([c.numerator * (den // c.denominator) for c in coeffs]), den)
 
     @staticmethod
     def zero() -> Poly:
-        return Poly(())
+        return Poly._make((), 1)
 
     @staticmethod
     def one() -> Poly:
-        return Poly.of(1)
+        return Poly._make((1,), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on each read; no kernel reads them."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def lead(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __add__(self, other: Poly) -> Poly:
-        return Poly(_trim([a + b for a, b in
-                           itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))]))
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return _reduced([a * fa + b * fb for a, b in
+                         itertools.zip_longest(self.num, other.num, fillvalue=0)], den)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + -other
 
     def __neg__(self) -> Poly:
-        return Poly(tuple([-a for a in self.coeffs]))
+        return Poly._make(tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            return Poly(_trim([a * other for a in self.coeffs]))
+            return _reduced([a * other.numerator for a in self.num], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         return poly_product((self, other))
@@ -111,29 +149,42 @@ class Poly(_Record):
         return power(self, n, Poly.one())
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        """Exact quotient and remainder with deg(remainder) < deg(other)."""
+        """Exact quotient and remainder with deg(remainder) < deg(other).
+
+        Integer pseudo-division of the numerators a by b: the remainder and
+        the quotient are scaled by lead(b) only at a step whose leading
+        coefficient lead(b) does not divide, so scale * a = quot * b + rem."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        rem, d, inv_lead = list(self.coeffs), other.degree, 1 / other.lead
-        quot = [Fraction(0)] * max(len(rem) - d, 1)
+        b, rem, scale = other.num, list(self.num), 1
+        d, lead = len(b) - 1, b[-1]
+        quot = [0] * max(len(rem) - d, 1)
         for k in range(len(rem) - 1 - d, -1, -1):
-            c = rem[k + d] * inv_lead
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-        return Poly(_trim(quot)), Poly(_trim(rem))
+            if rem[k + d] % lead:
+                scale *= lead
+                rem, quot = [lead * c for c in rem], [lead * c for c in quot]
+            quot[k] = c = rem[k + d] // lead
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+        # with self = a / da and other = b / db:
+        # self = quot * db / (scale * da) * other + rem / (scale * da)
+        den = scale * self.den
+        return _reduced([c * other.den for c in quot], den), _reduced(rem, den)
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction and complex arguments."""
+        """Horner evaluation on the numerators, then one division by den;
+        works for Fraction, QuadRational and complex arguments."""
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        if isinstance(acc, int):  # an int argument, or the zero polynomial
+            return Fraction(acc, self.den)
+        return acc if self.den == 1 else acc / self.den
 
     def monic(self) -> Poly:
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        return self * (1 / self.lead)
+        return _reduced(self.num, self.num[-1])
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -166,21 +217,29 @@ class IntPoly(_Record):
     def of(*coeffs: int) -> IntPoly:
         return IntPoly(_trim([int(c) for c in coeffs]))
 
-    degree = Poly.degree
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def lead(self) -> int:
         return self.coeffs[-1]
 
     def to_poly(self, scale: Fraction = Fraction(1)) -> Poly:
-        """This polynomial times a rational scale, as a :class:`Poly`."""
-        num, den = scale.numerator, scale.denominator
-        return Poly(tuple([Fraction(num * c, den) for c in self.coeffs]))
+        """This polynomial times a rational scale, as a :class:`Poly`.  Its
+        content is 1, so scale's numerator and denominator need no reduction."""
+        num = scale.numerator
+        if not num:
+            return Poly.zero()
+        return Poly._make(self.coeffs if num == 1 else tuple([num * c for c in self.coeffs]),
+                          scale.denominator)
 
     def monic(self) -> Poly:
-        return self.to_poly(Fraction(1, self.lead))
+        return Poly._make(self.coeffs, self.lead)
 
-    __call__ = Poly.__call__
+    def __call__(self, x):
+        return self.to_poly()(x)
+
     __str__ = Poly.__str__
     __repr__ = Poly.__repr__
 
@@ -208,30 +267,33 @@ def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no content decomposition")
-    den, ints = _cleared(p.coeffs)
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
+    num = p.num
+    g = math.gcd(*num)
+    if num[-1] < 0:
         g = -g
-    return Fraction(g, den), IntPoly._make(tuple([c // g for c in ints]))
+    return Fraction(g, p.den), IntPoly._make(num if g == 1 else tuple([c // g for c in num]))
 
 
 def poly_product(factors) -> Poly:
     """The product of rational polynomials by Gauss's lemma.
 
-    Each factor is split once by :func:`content_primitive`; the product is
-    the product of the scales times the product of the primitive parts,
-    which are multiplied as :class:`IntPoly` and scaled back at the end.
+    Each factor is num / den with content g = gcd(num); the product is the
+    product of the scales g / den times the product of the primitive parts
+    num / g, which is primitive, so only the scale is reduced, once.
 
     >>> poly_product([Poly.of(Fraction(1, 2), 1), Poly.of(-3, 1), Poly.of(0, -2)])
     Poly('-2*X^3 + 5*X^2 + 3*X')
     """
-    scale, prim = Fraction(1), IntPoly._make((1,))
+    num, den, prim = 1, 1, [1]
     for p in factors:
         if p.is_zero:
             return p
-        s, q = content_primitive(p)
-        scale, prim = scale * s, prim * q
-    return prim.to_poly(scale)
+        g = math.gcd(*p.num)
+        num, den = num * g, den * p.den
+        prim = _convolve(prim, p.num if g == 1 else [c // g for c in p.num])
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return Poly._make(tuple(prim) if num == 1 else tuple([num * c for c in prim]), den)
 
 
 def _primitive(a) -> tuple[int, ...]:
@@ -265,8 +327,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         raise ValueError("gcd of two zero polynomials is undefined")
     if p.is_zero or q.is_zero:
         return (p + q).monic()  # gcd(p, 0) is p made monic
-    g = _remainder_gcd(content_primitive(p)[1].coeffs, content_primitive(q)[1].coeffs)
-    return Poly.of(*g).monic()
+    g = _remainder_gcd(_primitive(p.num), _primitive(q.num))
+    return _reduced(g, g[-1])
 
 
 # The squarefree test's prime, the largest below 2^30: one CPython digit.

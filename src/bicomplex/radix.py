@@ -138,7 +138,8 @@ class DigitString(_Record):
     def __post_init__(self):
         if not self.digits:
             raise ValueError("a digit string has at least one digit")
-        if any(d not in digit_set(self.base) for d in self.digits):
+        digits = digit_set(self.base)
+        if any(d not in digits for d in self.digits):
             raise ValueError("digit outside the base's digit set")
         if len(self.digits) > 1 and self.digits[-1] == 0:
             raise ValueError("no leading zero digits")
@@ -184,7 +185,7 @@ def encode(x: BicomplexElement, base: RadixBase) -> DigitString:
     """
     state = _to_state(x, base)
     if state == (0, 0):
-        return DigitString((0,), base)
+        return DigitString._make((0,), base)
     (m11, m12, m21, m22), (w1, w2), (f1, f2) = base.lattice
     size, (u, v) = base.size, state
     digits: list[int] = []
@@ -195,8 +196,8 @@ def encode(x: BicomplexElement, base: RadixBase) -> DigitString:
         u, v = (m22 * u - m12 * v) // size, (m11 * v - m21 * u) // size
         state = u, v
         digits.append(d)
-        if state == (0, 0):
-            return DigitString(tuple(digits), base)
+        if state == (0, 0):  # digits are taken mod size; a last 0 would mean a zero state before
+            return DigitString._make(tuple(digits), base)
         if state in seen:
             raise NonTerminationError(
                 f"expansion of {x} in base {base} cycles (state {state} revisited)")

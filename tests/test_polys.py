@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -15,8 +16,10 @@ from bicomplex.polys import (
     format_poly,
     is_squarefree,
     poly_gcd,
+    poly_product,
     sturm_real_root_count,
 )
+from bicomplex.scalars import GaussianRational, QuadRational
 
 
 def test_poly_add_mul():
@@ -26,13 +29,132 @@ def test_poly_add_mul():
     assert Poly.of(0, 1) ** 3 == Poly.of(0, 0, 0, 1)
 
 
-def _schoolbook(a, b) -> Poly:
+# -- Fraction-tuple oracles: coefficients lowest degree first, no trailing zeros
+
+def _trimmed(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _fraction_product(a, b) -> tuple:
     """Fraction-by-Fraction product of two coefficient tuples."""
     out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return Poly.of(*out)
+    return _trimmed(out)
+
+
+def _schoolbook(a, b) -> Poly:
+    return Poly.of(*_fraction_product(a, b))
+
+
+def _fraction_sum(a, b) -> tuple:
+    return _trimmed(x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def _fraction_divmod(a, b) -> tuple[tuple, tuple]:
+    """Long division with a Fraction quotient at each step."""
+    rem, d = list(a), len(b) - 1
+    quot = [Fraction(0)] * max(len(a) - d, 1)
+    for k in range(len(a) - 1 - d, -1, -1):
+        quot[k] = c = rem[k + d] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trimmed(quot), _trimmed(rem)
+
+
+def _fraction_at(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_monic(a) -> tuple:
+    return tuple([c / a[-1] for c in a])
+
+
+def _fraction_gcd(a, b) -> tuple:
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    return _fraction_monic(a)
+
+
+def _fraction_content(a) -> Fraction:
+    """The scale s with a / s integral, primitive and of positive lead."""
+    den = math.lcm(*[c.denominator for c in a])
+    g = math.gcd(*[int(c * den) for c in a])
+    return Fraction(g if a[-1] > 0 else -g, den)
+
+
+def _checked(p: Poly) -> Poly:
+    """A kernel result, which must pass the checked constructor unchanged."""
+    again = Poly(p.num, p.den)
+    assert again == p and hash(again) == hash(p)
+    return p
+
+
+def test_kernels_match_fraction_oracles():
+    rng = random.Random(41)
+
+    def random_coeffs():
+        top = rng.choice((1, 6, 60, 2 ** 40))
+        return [Fraction(rng.randrange(-top, top + 1), rng.choice((1, rng.randrange(1, top + 1))))
+                for _ in range(rng.randrange(8))]
+
+    points = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)) for _ in range(3)]
+    points += [GaussianRational(Fraction(1, 3), Fraction(-2, 5)),
+               QuadRational(5, Fraction(1, 2), 3)]
+    for _ in range(400):
+        a, b = _trimmed(random_coeffs()), _trimmed(random_coeffs())
+        p, q = _checked(Poly.of(*a)), _checked(Poly.of(*b))
+        assert (p.coeffs, q.coeffs) == (a, b)
+        assert _checked(p + q).coeffs == _fraction_sum(a, b)
+        assert _checked(p - q).coeffs == _fraction_sum(a, [-c for c in b])
+        assert _checked(-p).coeffs == tuple([-c for c in a])
+        assert _checked(p + -p) == _checked(p - p) == Poly.zero()
+        assert _checked(p * q).coeffs == _fraction_product(a, b)
+        assert (_checked(poly_product([p, q, p])).coeffs
+                == _fraction_product(_fraction_product(a, b), a))
+        k = rng.choice((0, rng.randrange(-9, 10),
+                        Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))))
+        assert _checked(p * k).coeffs == _trimmed(c * k for c in a)
+        n, power = rng.randrange(5), (Fraction(1),)
+        for _ in range(n):
+            power = _fraction_product(power, a)
+        assert _checked(p ** n).coeffs == power
+        for x in points:
+            assert p(x) == _fraction_at(a, x)
+        assert type(p(points[0])) is Fraction
+        if q.is_zero:
+            continue
+        quot, rem = divmod(p, q)
+        assert (_checked(quot).coeffs, _checked(rem).coeffs) == _fraction_divmod(a, b)
+        assert _checked(q.monic()).coeffs == _fraction_monic(b)
+        assert _checked(poly_gcd(p, q)).coeffs == _fraction_gcd(a, b)
+        scale, prim = content_primitive(q)
+        assert scale == _fraction_content(b) and IntPoly(prim.coeffs) == prim
+        assert prim.coeffs == tuple([int(c / scale) for c in b])
+        ints = tuple(map(Fraction, prim.coeffs))
+        assert _checked(prim.to_poly()).coeffs == ints
+        assert _checked(prim.to_poly(k)).coeffs == _trimmed(c * k for c in ints)
+        assert _checked(prim.monic()).coeffs == _fraction_monic(ints)
+        assert prim(points[-1]) == _fraction_at(ints, points[-1])
+
+
+def test_poly_checked_constructor():
+    assert Poly((1, 2), 3).coeffs == (Fraction(1, 3), Fraction(2, 3))
+    assert Poly((-1, 0, 1)) == Poly.of(-1, 0, 1) and Poly(()) == Poly.zero()
+    for num, den in [((Fraction(1, 2), 1), 1), ((1, 2), Fraction(3)), ((1.0,), 1)]:
+        with pytest.raises(TypeError):
+            Poly(num, den)
+    for num, den in [((1, 2), 0), ((1, 2), -3), ((1, 0), 1), ((0,), 1), ((2, 4), 2), ((), 2),
+                     ((3, 6), 9)]:
+        with pytest.raises(ValueError):
+            Poly(num, den)
 
 
 def test_products_match_fraction_schoolbook():

@@ -96,6 +96,7 @@ def test_round_trips_medium_range():
             s = encode(x, base)
             assert decode(s) == x
             assert all(d in digit_set(base) for d in s.digits)
+            assert DigitString(s.digits, base) == s  # built unchecked, so check it here
             assert len(s.digits) <= 64
 
 

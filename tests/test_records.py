@@ -31,7 +31,7 @@ from bicomplex.zeta import BicomplexIdeal, CoefficientTable, ComponentIdeal
 
 F = Fraction
 G = GaussianRational
-X_MINUS_1 = Poly((F(-1), F(1)))
+X_MINUS_1 = Poly((-1, 1))
 FACTORS = BicomplexFactorization(BicomplexElement(1, 1), ((BicomplexElement(3, 1), 1),
                                                           (BicomplexElement(1, 3), 1)))
 
@@ -39,7 +39,7 @@ FACTORS = BicomplexFactorization(BicomplexElement(1, 1), ((BicomplexElement(3, 1
 CASES = [
     (BicomplexElement, ("c1", "c2"), (F(1), G(0, 2)),
      "BicomplexElement(Fraction(1, 1), GaussianRational(Fraction(0, 1), Fraction(2, 1)))"),
-    (Poly, ("coeffs",), ((F(-1), F(0), F(1)),), "Poly('X^2 - 1')"),
+    (Poly, ("num", "den"), ((-1, 0, 1), 1), "Poly('X^2 - 1')"),
     (IntPoly, ("coeffs",), ((-8, 4, -2, 1),), "IntPoly('X^3 - 2*X^2 + 4*X - 8')"),
     (Census, ("degree", "real_roots"), (3, 1), "Census(degree=3, real_roots=1)"),
     (RootPartition, ("real", "plane_i", "plane_j", "plane_k", "generic"),
