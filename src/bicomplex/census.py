@@ -21,7 +21,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .element import BicomplexElement
+from .element import BicomplexElement, _element
 from .minpoly import minpoly_component
 from .numtheory import DomainError, _Record, totient
 from .polys import IntPoly, Poly, is_squarefree, poly_product, sturm_real_root_count
@@ -143,7 +143,9 @@ def enumerate_bicomplex_roots(roots) -> RootPartition:
 
     Each locus lists its pairs in the order of a loop over alpha, then beta.
     The rule is :func:`classify_pair`, applied to indices: each root's
-    realness and the index of its conjugate are found once.
+    realness and the index of its conjugate are found once.  The roots are
+    checked Gaussian rationals, so each pair is built without the
+    constructor's checks.
     """
     roots, conj = _checked_roots(roots)
     real = [not root.im for root in roots]
@@ -158,7 +160,7 @@ def enumerate_bicomplex_roots(roots) -> RootPartition:
                 name = "plane_k"
             else:
                 name = "generic"
-            buckets[name].append(BicomplexElement(alpha, beta))
+            buckets[name].append(_element(alpha, beta))
     return RootPartition(**{name: tuple(vals) for name, vals in buckets.items()})
 
 

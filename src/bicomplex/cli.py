@@ -10,7 +10,9 @@ descriptors), 2 on domain errors (null cone, non-terminating expansions,
 degenerate ideals, factoring a unit, an integer that rho cannot split within
 ``numtheory.RHO_STEP_LIMIT`` steps, a real-root count past
 ``polys.ISOLATION_WORK_LIMIT``, a fundamental unit past
-``rings.PELL_BIT_LIMIT`` bits); these are the subclasses of
+``rings.PELL_BIT_LIMIT`` bits, a table past ``zeta.TABLE_LENGTH_LIMIT``
+entries, a cyclotomic polynomial of degree past
+``polys.CYCLOTOMIC_DEGREE_LIMIT``); these are the subclasses of
 ``numtheory.DomainError``.
 
 Each ``_cmd_*`` handler returns (text lines, JSON payload) and prints
@@ -349,12 +351,17 @@ def _cmd_census(args):
     from .census import census, census_cyclotomic
     from .polys import cyclotomic
 
-    # the closed form needs only N; Phi_N is built for the text line alone
-    poly = None if args.cyclotomic is not None else _input_int_poly(args)[0]
-    result = census_cyclotomic(args.cyclotomic) if poly is None else census(poly)
+    if args.cyclotomic is None:
+        poly = _input_int_poly(args)[0]
+        result = census(poly)
+    else:
+        # the closed form needs only N; Phi_N is built for the text line
+        # alone, and here, so that its degree budget stops main before it prints
+        result = census_cyclotomic(args.cyclotomic)
+        poly = None if args.json else cyclotomic(args.cyclotomic)
 
     def lines():
-        yield f"polynomial: {cyclotomic(args.cyclotomic) if poly is None else poly}"
+        yield f"polynomial: {poly}"
         yield from (f"{label}: {getattr(result, key)}" for label, key in _CENSUS_ROWS if label)
 
     return lines(), {key: getattr(result, key) for _, key in _CENSUS_ROWS}

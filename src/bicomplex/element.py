@@ -191,6 +191,14 @@ class BicomplexElement:
         return f"BicomplexElement({self._c1!r}, {self._c2!r})"
 
 
+def _element(c1, c2) -> BicomplexElement:
+    """Result constructor: c1 and c2 are scalars known to share a radicand,
+    as for ``scalars._quad``; outside input goes through ``__init__``."""
+    el = object.__new__(BicomplexElement)
+    el._c1, el._c2 = c1, c2
+    return el
+
+
 def format_cartesian(coords) -> str:
     """Canonical Cartesian literal 'x+y*i+z*j+t*k' omitting zero terms."""
     return format_terms(zip(coords, ("", "i", "j", "k")), "")

@@ -9,11 +9,12 @@ value, otherwise (the components being irreducible) the product.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .element import BicomplexElement
 from .numtheory import _Record
-from .polys import IntPoly, Poly, content_primitive
+from .polys import IntPoly, Poly
 from .scalars import QuadRational, as_fraction
 
 
@@ -41,11 +42,22 @@ def conjugate_pair_poly(c) -> Poly:
 
 
 def minpoly_component(scalar) -> IntPoly:
-    """Minimal polynomial of a component scalar: the primitive part of X - c
-    for a rational c, else of :func:`conjugate_pair_poly`."""
+    """Minimal polynomial of a component scalar, built on integers.
+
+    For a rational n/d it is d*X - n.  For a + b*sqrt(D) with b != 0, write
+    a = A/d and b = B/d over d = lcm of their denominators: then
+    d^2 * :func:`conjugate_pair_poly` is d^2*X^2 - 2*A*d*X + (A^2 - D*B^2),
+    and its primitive part is one gcd away.
+    """
     if isinstance(scalar, QuadRational) and scalar.b:
-        return content_primitive(conjugate_pair_poly(scalar))[1]
-    return content_primitive(Poly.of(-as_fraction(scalar), 1))[1]
+        a, b = scalar.a, scalar.b
+        d = math.lcm(a.denominator, b.denominator)
+        A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        coeffs = (A * A - scalar.D * B * B, -2 * A * d, d * d)
+        g = math.gcd(*coeffs)
+        return IntPoly._make(coeffs if g == 1 else tuple([c // g for c in coeffs]))
+    c = as_fraction(scalar)
+    return IntPoly._make((-c.numerator, c.denominator))
 
 
 def minpoly_bicomplex(element: BicomplexElement) -> MinPolyResult:

@@ -44,8 +44,10 @@ class DomainError(Exception):
 class WorkBudgetError(DomainError, ArithmeticError):
     """An operation needs more than its work budget: ``RHO_STEP_LIMIT`` rho
     steps to factor an integer, ``polys.ISOLATION_WORK_LIMIT`` to count real
-    roots, ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit, or
-    ``zeta.TABLE_LENGTH_LIMIT`` entries for an ideal-count table."""
+    roots, ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit,
+    ``zeta.TABLE_LENGTH_LIMIT`` entries for an ideal-count table, or
+    ``polys.CYCLOTOMIC_DEGREE_LIMIT`` for the degree of a cyclotomic
+    polynomial."""
 
 
 class _Record:

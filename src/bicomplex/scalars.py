@@ -149,7 +149,12 @@ class QuadRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._D, self._a, self._b)) if self._b else hash(self._a)
+        # b != 0: the reduced parts as ints, which spares two Fraction hashes
+        # (a modular inverse each); b == 0: the hash of the rational a it equals
+        a, b = self._a, self._b
+        if not b:
+            return hash(a)
+        return hash((self._D, a.numerator, a.denominator, b.numerator, b.denominator))
 
     def __str__(self):
         return format_scalar(self)

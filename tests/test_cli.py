@@ -483,6 +483,16 @@ def test_cli_census_cyclotomic_json_does_not_build_the_polynomial():
     assert json.loads(done.stdout)["degree"] == 10000018
 
 
+@pytest.mark.parametrize("command", ["census", "roots"])
+def test_cli_cyclotomic_exits_2_past_the_degree_limit(command):
+    # phi(10000019) = 10000018: refused on the totient before Phi_N is built,
+    # where building and printing it took about 15 s; the census text line is
+    # rendered after the handler returns, so the handler must raise it
+    done = run_subprocess(command, "--cyclotomic", "10000019", timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(polys.CYCLOTOMIC_DEGREE_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])
 def test_cli_ideal_count_reports_an_unwritable_out_file(tmp_path, where):
     done = run_subprocess("ideal-count", "--K", "Qh", "--max", "10", "--out",

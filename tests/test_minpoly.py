@@ -11,8 +11,8 @@ from bicomplex.minpoly import (
     minpoly_component,
     quartic_charpoly,
 )
-from bicomplex.polys import IntPoly, Poly
-from bicomplex.scalars import GaussianRational, QuadRational
+from bicomplex.polys import IntPoly, Poly, content_primitive
+from bicomplex.scalars import GaussianRational, QuadRational, as_fraction
 
 
 def random_gaussian_element(rng, span=6):
@@ -37,6 +37,22 @@ def test_minpoly_component_examples():
 def test_minpoly_component_rational_fraction():
     assert minpoly_component(Fraction(3, 2)) == IntPoly.of(-3, 2)
     assert minpoly_component(QuadRational(5, 1, 1)) == IntPoly.of(-4, -2, 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    st.builds(QuadRational, st.sampled_from((-1, -3, -7, 2, 5, 6)),
+              st.fractions(min_value=-50, max_value=50, max_denominator=40),
+              st.fractions(min_value=-50, max_value=50, max_denominator=40))))
+def test_minpoly_component_is_the_primitive_part_of_the_pair_poly(x):
+    # the integer construction against the Fraction polynomials it replaces
+    if isinstance(x, QuadRational) and x.b:
+        expected = content_primitive(conjugate_pair_poly(x))[1]
+    else:
+        expected = content_primitive(Poly.of(-as_fraction(x), 1))[1]
+    got = minpoly_component(x)
+    assert got == expected and all(type(c) is int for c in got.coeffs)
 
 
 def test_minpoly_bicomplex_product_example():

@@ -475,6 +475,17 @@ def _totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def test_cyclotomic_refuses_a_degree_past_the_limit(monkeypatch):
+    # checked on the totient before anything is allocated: Phi of the
+    # Mersenne prime 2^61 - 1 would have 2^61 - 2 coefficients
+    with pytest.raises(WorkBudgetError, match=str(polys.CYCLOTOMIC_DEGREE_LIMIT)):
+        cyclotomic((1 << 61) - 1)
+    monkeypatch.setattr(polys, "CYCLOTOMIC_DEGREE_LIMIT", 4)
+    assert cyclotomic(5).degree == cyclotomic(12).degree == 4
+    with pytest.raises(WorkBudgetError, match="degree 6, above the limit of 4"):
+        cyclotomic(7)
+
+
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 101):
         assert cyclotomic(n).degree == totient(n) == _totient(n)

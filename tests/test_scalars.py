@@ -1,8 +1,8 @@
 """Field laws of the unified component scalar, checked on drawn operands.
 
 Operands are plain rationals and quadratic rationals a + b*sqrt(D) over one
-radicand per example: D = -1 (the Gaussian rationals) or the real D = 5.
-Rationals must combine with either radicand.
+radicand per example: D = -1 (the Gaussian rationals), the imaginary D = -3
+or the real D = 5.  Rationals must combine with every radicand.
 """
 import math
 import operator
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from bicomplex.scalars import GaussianRational, MixedScalarError, QuadRational
 
-RADICANDS = (-1, 5)
+RADICANDS = (-1, -3, 5)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 laws = settings(derandomize=True, max_examples=40, deadline=None)
@@ -54,10 +54,13 @@ def test_division_undoes_multiplication(xy):
 
 @laws
 @given(same_field(2))
-def test_equal_values_hash_equal(xy):
-    x, y = xy
-    if x == y:
-        assert hash(x) == hash(y)
+def test_equal_values_hash_equal(xz):
+    # y is x rebuilt through a product and a quotient, so every example
+    # compares the hashes of two equal values, across kinds when one of x
+    # and z is rational and the other is not
+    x, z = xz
+    y = (x * z) / z if z != 0 else (x + 1) - 1
+    assert y == x and hash(y) == hash(x)
 
 
 @laws
