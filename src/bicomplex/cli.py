@@ -11,8 +11,8 @@ degenerate ideals, factoring a unit, an integer that rho cannot split within
 ``numtheory.RHO_STEP_LIMIT`` steps, a real-root count past
 ``polys.ISOLATION_WORK_LIMIT``, a fundamental unit past
 ``rings.PELL_BIT_LIMIT`` bits, a table past ``zeta.TABLE_LENGTH_LIMIT``
-entries, a cyclotomic polynomial of degree past
-``polys.CYCLOTOMIC_DEGREE_LIMIT``); these are the subclasses of
+entries, a polynomial literal or cyclotomic polynomial of degree past
+``polys.DEGREE_LIMIT``); these are the subclasses of
 ``numtheory.DomainError``.
 
 Each ``_cmd_*`` handler returns (text lines, JSON payload) and prints
@@ -21,6 +21,7 @@ nothing; ``main`` alone renders one of them and maps errors to exit codes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -29,7 +30,7 @@ from itertools import islice
 # numtheory); the other modules are imported by the handler that uses them,
 # so one command line loads only what it runs.
 from .element import BicomplexElement, format_cartesian, idempotent_literal
-from .numtheory import DomainError
+from .numtheory import DomainError, WorkBudgetError
 from .scalars import GaussianRational
 
 TYPE_CHECKING = False  # the names below appear in annotations only
@@ -44,136 +45,89 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise ParseError("unexpected end of input", self.pos)
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def scan_uint(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", self.pos)
-        return int(self.text[start:self.pos])
-
-    def scan_number(self) -> Fraction:
-        num = self.scan_uint()
-        self.skip_ws()
-        if self.peek() == "/":
-            self.pos += 1
-            self.skip_ws()
-            den = self.scan_uint()
-            if den == 0:
-                raise ParseError("zero denominator", self.pos)
-            return Fraction(num, den)
-        return Fraction(num)
+# One signed term of a literal, blanks allowed between tokens; _scan_terms
+# checks the unit letters and which tokens a term must have.
+_TERM = re.compile(r"""
+    \s* (?P<sign> [+-] )?                   # a sign, required after the first term
+    \s* (?: (?P<num> \d+ )                  # a coefficient n
+            (?: \s* / \s* (?P<den> \d+ ) )? # or n/d
+            \s* (?P<star> \* )? \s* )?      # '*' between a coefficient and a unit
+    (?P<unit> [A-Za-z] )?                   # a unit u
+    (?: (?<= [Xx] ) \s* \^ \s* (?P<power> \d+ ) )?  # a power n after X
+    \s*""", re.VERBOSE)
 
 
-_STOP = {",", "]", None}
-
-
-def _scan_terms(sc: _Scanner, units: str) -> dict[tuple[str, int], Fraction]:
-    """A sum of signed terms 'q', 'q*u' or 'u' over the unit letters, read up
-    to ',', ']' or the end.  'X' (or 'x') may carry a power 'X^n'.  The
-    coefficients are summed by (unit, power); a constant is ('', 0)."""
+def _scan_terms(text: str, pos: int, units: str) -> tuple[dict[tuple[str, int], Fraction], int]:
+    """A sum of signed terms 'q', 'q*u' or 'u' over the unit letters, read
+    from pos up to ',', ']' or the end, and the position where it stops.
+    'X' (or 'x') may carry a power 'X^n'.  The coefficients are summed by
+    (unit, power); a constant is ('', 0)."""
     terms: dict[tuple[str, int], Fraction] = {}
-    while True:
-        sc.skip_ws()
-        if sc.peek() in _STOP:
-            if not terms:
-                raise ParseError("empty expression", sc.pos)
-            return terms
-        sign = 1
-        if sc.peek() in "+-":
-            sign = 1 if sc.take() == "+" else -1
-        elif terms:
-            raise ParseError("expected '+' or '-'", sc.pos)
-        sc.skip_ws()
-        ch = sc.peek()
-        value, unit = Fraction(1), ""
-        if ch is not None and ch.isdigit():
-            value = sc.scan_number()
-            sc.skip_ws()
-            if sc.peek() == "*":
-                sc.take()
-                sc.skip_ws()
-                unit = sc.take()
-                if unit not in units:
-                    raise ParseError(f"unknown unit {unit!r}", sc.pos - 1)
-            elif sc.peek() not in _STOP and sc.peek() not in "+-":
-                if sc.peek() in units:
-                    raise ParseError(f"write coefficient*{sc.peek()} with explicit '*'", sc.pos)
-                raise ParseError("expected '*', '+', '-' or end", sc.pos)
-        elif ch is not None and ch in units:
-            unit = sc.take()
-        else:
-            raise ParseError("expected a term", sc.pos)
-        power = 1 if unit else 0
-        if unit in ("X", "x"):
-            unit = "X"
-            sc.skip_ws()
-            if sc.peek() == "^":
-                sc.take()
-                sc.skip_ws()
-                power = sc.scan_uint()
-        terms[unit, power] = terms.get((unit, power), Fraction(0)) + sign * value
+    while not terms or pos < len(text) and text[pos] not in ",]":
+        m = _TERM.match(text, pos)
+        num, den, unit = m["num"], m["den"], m["unit"]
+        if terms and not m["sign"]:
+            raise ParseError("expected '+' or '-'", pos)
+        if unit is None and (m["star"] or not num):
+            end = m.end()
+            raise ParseError("unexpected end of input" if end == len(text)
+                             else f"unexpected {text[end]!r}", end)
+        if unit is not None and unit not in units:
+            raise ParseError(f"unknown unit {unit!r}", m.start("unit"))
+        if num and unit and not m["star"]:
+            raise ParseError(f"write coefficient*{unit} with explicit '*'", m.start("unit"))
+        if den and not int(den):
+            raise ParseError("zero denominator", m.end("den"))
+        value = Fraction(int(num or 1), int(den or 1))
+        unit = "X" if unit in ("X", "x") else unit or ""
+        key = unit, int(m["power"] or 1) if unit else 0
+        terms[key] = terms.get(key, Fraction(0)) + (-value if m["sign"] == "-" else value)
+        pos = m.end()
+    return terms, pos
 
 
-def _coefficients(sc: _Scanner, units: str) -> list[Fraction]:
-    """The constant and then each unit's coefficient of one term sum."""
-    terms = _scan_terms(sc, units)
-    return [terms.get(("", 0), Fraction(0))] + [terms.get((u, 1), Fraction(0)) for u in units]
+def _coefficients(text: str, pos: int, units: str) -> tuple[list[Fraction], int]:
+    """The constant and then each unit's coefficient of one term sum, and
+    the position where it stops."""
+    terms, pos = _scan_terms(text, pos, units)
+    return [terms.get(("", 0), Fraction(0))] + [terms.get((u, 1), Fraction(0)) for u in units], pos
+
+
+def _expect(text: str, pos: int, token: str) -> int:
+    """The position past token, which must stand at pos, and the blanks after it."""
+    if text[pos:pos + 1] != token:
+        raise ParseError(f"expected {token!r}", pos)
+    return len(text) - len(text[pos + 1:].lstrip())
 
 
 def parse_element(text: str) -> BicomplexElement:
     """Parse either element literal form, with position-reported errors."""
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() == "[":
-        sc.take()
-        part1 = _coefficients(sc, "i")
-        sc.expect(",")
-        part2 = _coefficients(sc, "i")
-        sc.expect("]")
-        sc.skip_ws()
-        if sc.peek() is not None:
-            raise ParseError("trailing input after ']'", sc.pos)
-        return BicomplexElement(GaussianRational(*part1), GaussianRational(*part2))
-    coeffs = _coefficients(sc, "ijk")
-    if sc.peek() is not None:
-        raise ParseError("trailing input", sc.pos)
-    return BicomplexElement.from_cartesian(*coeffs)
+    if text.lstrip().startswith("["):
+        part1, pos = _coefficients(text, text.index("[") + 1, "i")
+        part2, pos = _coefficients(text, _expect(text, pos, ","), "i")
+        pos = _expect(text, pos, "]")
+        element = BicomplexElement(GaussianRational(*part1), GaussianRational(*part2))
+    else:
+        coeffs, pos = _coefficients(text, 0, "ijk")
+        element = BicomplexElement.from_cartesian(*coeffs)
+    if pos < len(text):
+        raise ParseError("trailing input", pos)
+    return element
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse a polynomial in X with rational coefficients."""
-    from .polys import Poly
+    """Parse a polynomial in X with rational coefficients.  Its powers are
+    held to ``polys.DEGREE_LIMIT`` before its coefficients are allocated."""
+    from .polys import DEGREE_LIMIT, Poly
 
-    sc = _Scanner(text)
-    terms = _scan_terms(sc, "Xx")
-    if sc.peek() is not None:
-        raise ParseError("trailing input", sc.pos)
-    coeffs = [Fraction(0)] * (1 + max(power for _, power in terms))
+    terms, pos = _scan_terms(text, 0, "Xx")
+    if pos < len(text):
+        raise ParseError("trailing input", pos)
+    top = max(power for _, power in terms)
+    if top > DEGREE_LIMIT:
+        raise WorkBudgetError(f"the polynomial has a term of degree {top}, above the limit of "
+                              f"{DEGREE_LIMIT}")
+    coeffs = [Fraction(0)] * (1 + top)
     for (_, power), value in terms.items():
         coeffs[power] += value
     return Poly.of(*coeffs)

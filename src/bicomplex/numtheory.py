@@ -46,8 +46,8 @@ class WorkBudgetError(DomainError, ArithmeticError):
     steps to factor an integer, ``polys.ISOLATION_WORK_LIMIT`` to count real
     roots, ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit,
     ``zeta.TABLE_LENGTH_LIMIT`` entries for an ideal-count table, or
-    ``polys.CYCLOTOMIC_DEGREE_LIMIT`` for the degree of a cyclotomic
-    polynomial."""
+    ``polys.DEGREE_LIMIT`` for the degree of a polynomial literal or a
+    cyclotomic polynomial."""
 
 
 class _Record:

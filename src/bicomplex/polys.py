@@ -333,8 +333,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 # The squarefree test's prime, the largest below 2^30: one CPython digit.
 _MODULUS = (1 << 30) - 35
-# Taylor-shift word additions a real-root count may take: n(n + 1) times the
-# 64-bit words of the largest coefficient, per Taylor shift of degree n.
+# Taylor-shift word additions a real-root count may take: n(n + 1) per Taylor
+# shift of degree n, times the 64-bit words of its largest coefficient grown
+# by n bits, since the shift's partial sums stay below 2^(n+1) times it.
 # About 2 s on a 2.0 GHz core; the test suite's inputs need at most 7.7e7
 # (Mignotte's cluster at degree 60).
 ISOLATION_WORK_LIMIT = 1 << 30
@@ -416,7 +417,7 @@ def sturm_real_root_count(p: IntPoly) -> int:
     def shifted(c):
         nonlocal work
         n = len(c) - 1
-        work += n * (n + 1) * (1 + max(map(int.bit_length, c)) // 64)
+        work += n * (n + 1) * (1 + (max(map(int.bit_length, c)) + n) // 64)
         if work > ISOLATION_WORK_LIMIT:
             raise WorkBudgetError(f"counting real roots needs more than {ISOLATION_WORK_LIMIT} "
                                   "Taylor-shift word additions")
@@ -447,11 +448,11 @@ def sturm_real_root_count(p: IntPoly) -> int:
     return count
 
 
-# Degree phi(n) up to which Phi_n is built: one pass per squarefree divisor
-# of n, so the worst case has seven primes, as n = 1009470 (degree 190080),
-# built in 2.1 s and printed in 0.15 s; a prime n at the limit takes 0.15 s
-# (2-core container, Python 3.11).
-CYCLOTOMIC_DEGREE_LIMIT = 200_000
+# Degree up to which a polynomial literal or Phi_n is built.  Phi_n takes one
+# pass per squarefree divisor of n, so the worst case has seven primes, as
+# n = 1009470 (degree 190080), built in 2.1 s and printed in 0.15 s; a prime
+# n at the limit takes 0.15 s (2-core container, Python 3.11).
+DEGREE_LIMIT = 200_000
 
 
 def cyclotomic(n: int) -> IntPoly:
@@ -460,7 +461,7 @@ def cyclotomic(n: int) -> IntPoly:
     For n >= 2, Phi_n is the power series of the product of (1 - X^d)^mu(n/d)
     over the divisors d of n, cut at degree phi(n); each factor is one pass.
     Raises ``WorkBudgetError`` before anything is allocated when phi(n) is
-    above ``CYCLOTOMIC_DEGREE_LIMIT``.
+    above ``DEGREE_LIMIT``.
 
     >>> cyclotomic(12)
     IntPoly('X^4 - X^2 + 1')
@@ -470,9 +471,9 @@ def cyclotomic(n: int) -> IntPoly:
     if n == 1:
         return IntPoly._make((-1, 1))
     top = totient(n)
-    if top > CYCLOTOMIC_DEGREE_LIMIT:
+    if top > DEGREE_LIMIT:
         raise WorkBudgetError(f"the cyclotomic polynomial Phi_{n} has degree {top}, above the "
-                              f"limit of {CYCLOTOMIC_DEGREE_LIMIT}")
+                              f"limit of {DEGREE_LIMIT}")
     primes = list(factorint(n))
     c = [1] + [0] * top
     for size in range(len(primes) + 1):

@@ -368,12 +368,6 @@ def is_prime_element(element: BicomplexElement, L: ExtensionDescriptor) -> Prime
 
 # -- unique factorization ------------------------------------------------------
 
-def _prime_sort_key(entry):
-    element, _, form = entry
-    g = as_gaussian(element.c1 if form == "prime_e1" else element.c2)
-    return (0 if form == "prime_e1" else 1, g.norm_sq(), g.re, g.im)
-
-
 def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactorization:
     """Unique factorization into canonical primes of the two nondegenerate
     shapes, valid over extensions whose component rings are Z or Z[i].
@@ -392,15 +386,12 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     if is_unit(element, L):
         raise UnitInputError(f"{element} is a unit of {L}")
 
+    # each component's primes come in ascending order (of norm, then re, im)
     unit1, pairs1 = L.K1.factor(element.c1)
     unit2, pairs2 = L.K2.factor(element.c2)
-    entries = [(BicomplexElement(p, 1), e, "prime_e1") for p, e in pairs1]
-    entries += [(BicomplexElement(1, p), e, "prime_e2") for p, e in pairs2]
-    entries.sort(key=_prime_sort_key)
-    return BicomplexFactorization(
-        unit=BicomplexElement(unit1, unit2),
-        factors=tuple([(el, e) for el, e, _ in entries]),
-    )
+    factors = [(BicomplexElement(p, 1), e) for p, e in pairs1]
+    factors += [(BicomplexElement(1, p), e) for p, e in pairs2]
+    return BicomplexFactorization(unit=BicomplexElement(unit1, unit2), factors=tuple(factors))
 
 
 class PrimeProfile(_Record):

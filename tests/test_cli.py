@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,7 +26,7 @@ from bicomplex.cli import (
 )
 from bicomplex.element import BicomplexElement, format_cartesian
 from bicomplex.minpoly import minpoly_bicomplex
-from bicomplex.numtheory import RHO_STEP_LIMIT
+from bicomplex.numtheory import RHO_STEP_LIMIT, WorkBudgetError
 from bicomplex.polys import Poly, format_poly
 from bicomplex.radix import GaussBase, HypGaussBase, HypSplitBase
 from bicomplex.rings import PELL_BIT_LIMIT, ExtensionDescriptor, QB, QH, QuadraticField, Q_FIELD
@@ -114,6 +115,69 @@ def test_parse_poly():
     for text in ("X^", "2*", "X^2 - 3*", "2*-X", "2^3", "X + 1 1"):
         with pytest.raises(ParseError):
             parse_poly(text)
+
+
+def _random_terms(rng, units):
+    """A random valid sum of terms over the unit letters ('' is a constant):
+    signs, blanks between tokens, 'n/d' coefficients, repeated units and
+    'X^k' with small k; and the coefficient it sums for each (unit, power)."""
+    def blank():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    text, value = "", {}
+    for first in [True] + [False] * rng.randrange(6):
+        sign = rng.choice("+-") if not first or rng.random() < 0.3 else ""
+        unit = rng.choice(units)
+        num, den = rng.randrange(50), rng.choice((1, 1, rng.randrange(1, 30)))
+        coeff = f"{num}" if den == 1 and rng.random() < 0.5 else f"{num}{blank()}/{blank()}{den}"
+        power = rng.randrange(6) if unit in ("X", "x") else 1
+        if not unit:
+            term, power = coeff, 0
+        elif rng.random() < 0.5:
+            term, num, den = unit, 1, 1
+        else:
+            term = f"{coeff}{blank()}*{blank()}{unit}"
+        if unit in ("X", "x") and (power != 1 or rng.random() < 0.3):
+            term += f"{blank()}^{blank()}{power}"
+        text += f"{blank()}{sign}{blank()}{term}"
+        key = unit.upper() if unit in ("X", "x") else unit, power
+        value[key] = value.get(key, 0) + Fraction(-num if sign == "-" else num, den)
+    return text + blank(), value
+
+
+def test_parse_literal_grammar_property():
+    rng = random.Random(25)
+    for _ in range(400):
+        text, value = _random_terms(rng, ("", "i", "j", "k", "i"))
+        assert parse_element(text) == BicomplexElement.from_cartesian(
+            value.get(("", 0), 0), *(value.get((u, 1), 0) for u in "ijk")), text
+        parts = [_random_terms(rng, ("", "i")) for _ in range(2)]
+        text = f"[{parts[0][0]},{parts[1][0]}]"
+        assert parse_element(text) == BicomplexElement(*(
+            GaussianRational(v.get(("", 0), 0), v.get(("i", 1), 0)) for _, v in parts)), text
+        text, value = _random_terms(rng, ("", "X", "x", "X"))
+        coeffs = [0] * 6
+        for (_, power), c in value.items():
+            coeffs[power] += c
+        assert parse_poly(text) == Poly.of(*coeffs), text
+
+
+def test_parse_random_strings_parse_or_report_a_position():
+    alphabet = "0123456789/*+-^ \tijkXx[],q!"
+    rng = random.Random(26)
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(14)))
+        if rng.random() < 0.5:  # one edit of a valid literal
+            text, _ = _random_terms(rng, ("", "i", "X"))
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(alphabet) * rng.randrange(2) + text[k + rng.randrange(2):]
+        if re.search(r"\^\s*\d{4}", text):
+            continue  # powers stay small: past polys.DEGREE_LIMIT they raise WorkBudgetError
+        for parse in (parse_element, parse_poly):
+            try:
+                parse(text)
+            except ParseError as err:
+                assert 0 <= err.pos <= len(text), text
 
 
 def test_parse_descriptors():
@@ -490,7 +554,28 @@ def test_cli_cyclotomic_exits_2_past_the_degree_limit(command):
     # rendered after the handler returns, so the handler must raise it
     done = run_subprocess(command, "--cyclotomic", "10000019", timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
-    assert str(polys.CYCLOTOMIC_DEGREE_LIMIT) in done.stderr and "Traceback" not in done.stderr
+    assert str(polys.DEGREE_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
+def test_cli_poly_literal_exits_2_past_the_degree_limit(monkeypatch):
+    # the largest power is checked before the coefficients are allocated:
+    # X^20000000 - 1 took 42 s to fail with a MemoryError under a 3 GB
+    # address-space limit, and this one did not end within the timeout
+    done = run_subprocess("census", "--poly", "X^200001 - 3*X + 1", timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(polys.DEGREE_LIMIT) in done.stderr and "Traceback" not in done.stderr
+    monkeypatch.setattr(polys, "DEGREE_LIMIT", 4)
+    assert parse_poly("X^4 - 1") == Poly.of(-1, 0, 0, 0, 1)
+    with pytest.raises(WorkBudgetError, match="degree 6, above the limit of 4"):
+        parse_poly("X^4 - X^6 + X^6")
+
+
+def test_cli_census_charges_the_coefficient_growth_of_a_taylor_shift():
+    # the shift's partial sums outgrow the input's 2 bits by up to n bits;
+    # charged by the input's bits alone, this count took about 15 s
+    done = run_subprocess("census", "--poly", "X^10000 - 3*X + 1", timeout=8)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(polys.ISOLATION_WORK_LIMIT) in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])

@@ -33,7 +33,7 @@ from bicomplex.rings import (
     rational_prime_profile,
     unit_group,
 )
-from bicomplex.scalars import GaussianRational, QuadRational, is_squarefree_int
+from bicomplex.scalars import GaussianRational, QuadRational, as_gaussian, is_squarefree_int
 
 
 def G(re, im=0):
@@ -364,6 +364,31 @@ def test_factor_round_trip_random():
         assert f.recompose() == el
         assert all(is_prime_element(p, QB).is_prime for p, _ in f.factors)
         assert all(canonical_associate(p, QB)[1] == p for p, _ in f.factors)
+
+
+def _prime_order_key(prime, L):
+    """The order factor lists its primes in: the pi*e1 + e2 primes before the
+    e1 + pi*e2 ones, each by the norm, then the real and imaginary part of pi."""
+    e1 = is_prime_element(prime, L).form == "prime_e1"
+    g = as_gaussian(prime.c1 if e1 else prime.c2)
+    return (not e1, g.norm_sq(), g.re, g.im)
+
+
+@pytest.mark.parametrize("L", [QH, QB, ExtensionDescriptor(Q_FIELD, GAUSSIAN_FIELD),
+                               ExtensionDescriptor(GAUSSIAN_FIELD, Q_FIELD)])
+def test_factor_lists_primes_in_order(L):
+    rng = random.Random(73)
+
+    def component(K):
+        while True:
+            a = rng.randrange(-1000, 1001)
+            b = rng.randrange(-1000, 1001) if K == GAUSSIAN_FIELD else 0
+            if a * a + b * b > 1:
+                return G(a, b) if K == GAUSSIAN_FIELD else Fraction(a)
+
+    for _ in range(100):
+        primes = [p for p, _ in factor(BicomplexElement(component(L.K1), component(L.K2)), L).factors]
+        assert primes == sorted(primes, key=lambda p: _prime_order_key(p, L))
 
 
 rational_integers = st.integers(-10 ** 6, 10 ** 6).filter(bool).map(Fraction)
