@@ -1,8 +1,9 @@
 """Rational integer primality and factorization at desk scale.
 
-Trial division by the odd numbers below 1000, then ``is_prime``, then
-Brent's cycle variant of Pollard's rho within ``RHO_STEP_LIMIT`` steps, a
-step on a number of 256 bits or more charged as several.
+Trial division by the primes below 1000 that one gcd shows to divide n, then
+``is_prime``, then Brent's cycle variant of Pollard's rho within
+``RHO_STEP_LIMIT`` steps, a step on a number of 256 bits or more charged as
+several.
 ``is_prime`` is a proof below psi_12 = 318665857834031151167461, the least
 strong pseudoprime to the bases 2..37 (Sorenson & Webster, Math. Comp. 2017);
 from psi_12 on it is the Baillie-PSW "probable prime" test (Baillie &
@@ -227,6 +228,21 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
+# The primes from 7 to 997, and their product for the gcd that picks those of
+# n.  Past 37 they are the numbers prime to every witness, since 37^2 > 1000.
+_TRIAL_PRIMES = _MR_WITNESSES[3:] + tuple(
+    p for p in range(38, 1000) if math.gcd(p, math.prod(_MR_WITNESSES)) == 1)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
+
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(e, n / p^e) with p^e the largest power of p dividing n."""
+    e = 0
+    while n % p == 0:
+        e, n = e + 1, n // p
+    return e, n
+
+
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| as ``{prime: exponent}``; 0 and +-1 give {}.
 
@@ -240,13 +256,17 @@ def factorint(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 7
-    while f < 1000 and f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if f * f > n:  # no factor up to sqrt(n) is left, so n is 1 or a prime
+    # one gcd finds which odd primes below 1000 divide n; only those divide it
+    g = math.gcd(n, _TRIAL_PRODUCT)
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            out[p], n = _valuation(n, p)
+    if g > 1:  # g is squarefree with no prime up to its square root: a prime
+        out[g], n = _valuation(n, g)
+    if n < 1_000_000:  # every prime left is above 1000, so n is 1 or a prime
         if n > 1:
             out[n] = 1
         return out

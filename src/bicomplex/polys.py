@@ -349,11 +349,29 @@ def is_squarefree(p: IntPoly) -> bool:
     is not constant, the integer remainder sequence decides."""
     if p.degree < 1:
         raise ValueError("squarefreeness is only defined for degree >= 1")
-    a, dp = p.coeffs, _primitive([i * c for i, c in enumerate(p.coeffs)][1:])
+    dp = _primitive([i * c for i, c in enumerate(p.coeffs)][1:])
+    a = [c % _MODULUS for c in p.coeffs]
     b = _trim([c % _MODULUS for c in dp]) if p.lead % _MODULUS else ()
     while b:  # Euclid mod q
-        a, b = b, _trim([c % _MODULUS for c in _pseudo_rem(a, b)])
+        a, b = b, _rem_mod(a, b)
     return len(a) == 1 or len(_remainder_gcd(p.coeffs, dp)) == 1
+
+
+def _rem_mod(a, b) -> tuple[int, ...]:
+    """The remainder of a by b mod _MODULUS, both reduced and b trimmed.
+
+    Each elimination step takes its quotient digit as the top term of a over
+    lead(b) mod q, which divides by b made monic, and rewrites only the
+    len(b) - 1 terms of a below that top.  So a step costs the divisor's
+    length, and a division by a remainder of degree 1 is linear in the degree
+    of a.  The rewritten terms are reduced once at the end: each step adds
+    less than q^2 to a term."""
+    n, q = len(b) - 1, _MODULUS
+    inverse, tail, rem = pow(b[-1], -1, q), b[:n], list(a)
+    for k in range(len(rem) - 1, n - 1, -1):
+        if top := rem[k] * inverse % q:
+            rem[k - n:k] = [c - top * d for c, d in zip(rem[k - n:k], tail)]
+    return _trim([c % q for c in rem[:n]])
 
 
 def _shifted(c) -> list[int]:

@@ -578,6 +578,14 @@ def test_cli_census_charges_the_coefficient_growth_of_a_taylor_shift():
     assert str(polys.ISOLATION_WORK_LIMIT) in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cli_census_squarefree_test_is_linear_on_a_sparse_input():
+    # the Euclid mod q divides by a remainder of degree 1; rebuilding the
+    # whole remainder at each of its 50000 steps took about 43 s
+    done = run_subprocess("census", "--poly", "X^50000 - 3*X + 1", timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(polys.ISOLATION_WORK_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])
 def test_cli_ideal_count_reports_an_unwritable_out_file(tmp_path, where):
     done = run_subprocess("ideal-count", "--K", "Qh", "--max", "10", "--out",

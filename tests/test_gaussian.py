@@ -143,6 +143,38 @@ def test_integer_primality_helpers():
         sqrt_minus_one_mod(7)
 
 
+
+def _trial_division(n):
+    """Plain trial division by every d from 2 up: the primes in ascending order."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorint_matches_trial_division_and_its_key_order():
+    """The primes below 1000 come first, ascending, so with at most one prime
+    above 1000 the dict lists its keys as trial division does."""
+    rng = random.Random(26)
+    small = [p for p in range(2, 1000) if is_prime(p)]
+    cofactors = [1, 1009, 999983, 1009 * 1013, 1013 ** 2, 1009 ** 3, 2999 * 99991]
+    inputs = list(range(2, 20000)) + [10 ** 6, 1002001, 1018081, 997 ** 2 * 1009]
+    for _ in range(3000):
+        n = prod(rng.choice(small) ** rng.randint(1, 4) for _ in range(rng.randint(0, 5)))
+        inputs.append(n * rng.choice(cofactors + [rng.randint(1001, 10 ** 7)]))
+    for n in inputs:
+        got, want = factorint(n), _trial_division(n)
+        assert got == want, n
+        below = [p for p in want if p < 1000]
+        assert list(got)[:len(below)] == below, n
+        if len(want) - len(below) <= 1:
+            assert list(got.items()) == list(want.items()), n
+
 PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
 PSI_13 = 3317044064679887385961981  # least strong pseudoprime to the bases 2..41
 

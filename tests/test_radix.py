@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -39,6 +40,38 @@ def _domain_points(base, span):
                 for v in range(-span, span + 1))
     return (gaussian(u, v) for u in range(-span, span + 1)
             for v in range(-span, span + 1))
+
+
+def _minus_three_digit_sum(n):
+    """The alternating digit sum of the base -3 expansion of n."""
+    total, sign = 0, 1
+    while n:
+        d = n % 3
+        total, sign, n = total + sign * d, -sign, (n - d) // -3
+    return total
+
+
+def _expands_in_minus_two_plus_j(u, v):
+    """The rule of the module docstring: u + v*j has a finite expansion in
+    base -2+j iff u+v is the alternating digit sum of the base -3 expansion
+    of u-v."""
+    return u + v == _minus_three_digit_sum(u - v)
+
+
+def _minus_two_plus_j_step(u, v):
+    """One forced digit of base -2+j = (-1)*e1 + (-3)*e2, worked in the
+    idempotent coordinates m = u+v, n = u-v: the digit is n mod 3, and the
+    quotient (x - d)/q has m' = d - m and n' = (n - d)/(-3)."""
+    m, n = u + v, u - v
+    d = n % 3
+    m, n = d - m, (n - d) // -3
+    return (m + n) // 2, (m - n) // 2
+
+
+def _named_state(exc):
+    match = re.search(r"cycles \(state \((-?\d+), (-?\d+)\) revisited\)", str(exc))
+    assert match, str(exc)
+    return int(match[1]), int(match[2])
 
 
 def test_digit_sets():
@@ -89,10 +122,14 @@ def test_decode_gauss_example():
 
 
 def test_round_trips_medium_range():
+    """On [-50, 50]^2 the seven other bases expand every point, and -2+j the
+    points of its rule; test_minus_two_plus_j_names_a_state_on_its_two_cycle
+    checks that it raises on the rest."""
     for base in ALL_BASES:
-        if base == HypGaussBase(-2):
-            continue  # no finite expansion for much of the lattice, below
-        for x in _domain_points(base, 20):
+        grid = itertools.product(range(-50, 51), repeat=2)  # the order of _domain_points
+        for (u, v), x in zip(grid, _domain_points(base, 50)):
+            if base == HypGaussBase(-2) and not _expands_in_minus_two_plus_j(u, v):
+                continue
             s = encode(x, base)
             assert decode(s) == x
             assert all(d in digit_set(base) for d in s.digits)
@@ -123,6 +160,34 @@ def test_hyp_gauss_minus_two_has_cycles():
     s = encode(j_lattice(0, 1), base)
     assert s.digits == (2, 1)
     assert decode(s) == j_lattice(0, 1)
+
+
+def test_minus_two_plus_j_names_a_state_on_its_two_cycle():
+    """Off the rule's set, every orbit ends in the cycle m <-> -m at n = 0;
+    the state that the error names lies on it."""
+    base, failed = HypGaussBase(-2), 0
+    for u in range(-50, 51):
+        for v in range(-50, 51):
+            if _expands_in_minus_two_plus_j(u, v):
+                continue
+            with pytest.raises(NonTerminationError, match="revisited") as err:
+                encode(j_lattice(u, v), base)
+            state = _named_state(err.value)
+            assert _minus_two_plus_j_step(*_minus_two_plus_j_step(*state)) == state
+            failed += 1
+    assert failed == 101 * 101 - 197
+
+
+def test_minus_two_plus_j_cycle_after_a_long_tail_is_found():
+    """3^3000 = (-3)^3000 has 3001 base -3 digits before the orbit reaches
+    n = 0 and cycles; the checkpoint must move into the cycle to see it before
+    the 10^4-digit cap."""
+    x = j_lattice(3 ** 3000, 0)
+    with pytest.raises(NonTerminationError) as err:
+        encode(x, HypGaussBase(-2))
+    assert "revisited" in str(err.value) and "exceeded" not in str(err.value)
+    state = _named_state(err.value)
+    assert _minus_two_plus_j_step(*_minus_two_plus_j_step(*state)) == state
 
 
 def test_brute_force_search_matches_encode():
