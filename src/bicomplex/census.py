@@ -21,9 +21,9 @@ import cmath
 import math
 from fractions import Fraction
 
+from .base import DomainError, _Record
 from .element import BicomplexElement, _element
 from .minpoly import minpoly_component
-from .numtheory import DomainError, _Record, totient
 from .polys import IntPoly, Poly, is_squarefree, poly_product, sturm_real_root_count
 from .scalars import GaussianRational, QuadRational, as_gaussian
 
@@ -84,6 +84,8 @@ def census(p: IntPoly) -> Census:
 def census_cyclotomic(n: int) -> Census:
     """Census of Phi_n: its phi(n) roots are roots of unity, and only 1 (for
     n = 1) and -1 (for n = 2) are real."""
+    from .numtheory import totient
+
     if n < 1:
         raise ValueError("cyclotomic census needs n >= 1")
     return Census(totient(n), 1 if n <= 2 else 0)

@@ -13,7 +13,7 @@ degenerate ideals, factoring a unit, an integer that rho cannot split within
 ``rings.PELL_BIT_LIMIT`` bits, a table past ``zeta.TABLE_LENGTH_LIMIT``
 entries, a polynomial literal or cyclotomic polynomial of degree past
 ``polys.DEGREE_LIMIT``); these are the subclasses of
-``numtheory.DomainError``.
+``base.DomainError``.
 
 Each ``_cmd_*`` handler returns (text lines, JSON payload) and prints
 nothing; ``main`` alone renders one of them and maps errors to exit codes.
@@ -26,11 +26,12 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-# Every subcommand needs the element layer (which loads scalars and
-# numtheory); the other modules are imported by the handler that uses them,
-# so one command line loads only what it runs.
+# Every subcommand needs the element layer (which loads scalars and base, the
+# error and record bases); the other modules, factoring included, are imported
+# by the handler that uses them, and main builds the subparser of the command
+# it runs alone, so one command line loads and builds only what it runs.
+from .base import DomainError, WorkBudgetError
 from .element import BicomplexElement, format_cartesian, idempotent_literal
-from .numtheory import DomainError, WorkBudgetError
 from .scalars import GaussianRational
 
 TYPE_CHECKING = False  # the names below appear in annotations only
@@ -467,88 +468,95 @@ def _cmd_radix_decode(args):
 
 # -- driver -----------------------------------------------------------------------
 
+def _arg(*names, **options):
+    """One ``add_argument`` call of a subcommand."""
+    return names, options
+
+
+_ELEMENT = _arg("element")
+# one of these, required, names the input polynomial of census and roots
+_POLY_SOURCE = [
+    _arg("--poly", help="polynomial literal in X"),
+    _arg("--element", help="use the element's minimal polynomial"),
+    _arg("--cyclotomic", type=int, metavar="N", help="use the N-th cyclotomic polynomial"),
+]
+_FIELD_KEY = _arg("--K", required=True, help="Q, Qi, Qh or QB")
+
+# Each subcommand: (name, handler, help text, arguments after --json); a list
+# of arguments is a required mutually exclusive group.
+_SUBCOMMANDS = (
+    ("decompose", _cmd_decompose, "idempotent components of an element", (_ELEMENT,)),
+    ("conj", _cmd_conj, "conjugate an element along an axis",
+     (_ELEMENT, _arg("--axis", choices=("i", "j", "k"), required=True))),
+    ("norm", _cmd_norm, "norm (product with the three conjugates)", (_ELEMENT,)),
+    ("minpoly", _cmd_minpoly, "minimal polynomial of an element", (_ELEMENT,)),
+    ("charpoly4", _cmd_charpoly4, "quartic characteristic polynomial", (_ELEMENT,)),
+    ("census", _cmd_census, "bicomplex root census of a squarefree polynomial",
+     (_POLY_SOURCE,)),
+    ("roots", _cmd_roots, "numeric roots, or exact bicomplex root loci",
+     (_POLY_SOURCE, _arg("--bicomplex", action="store_true",
+                         help="enumerate the n^2 bicomplex roots exactly by locus"))),
+    ("factor", _cmd_factor, "factor an integral element into primes",
+     (_ELEMENT, _arg("--L", default="QB", help="Qh, QB or custom:K1,K2"))),
+    ("primes-profile", _cmd_primes_profile, "how a rational prime factors",
+     (_arg("p", type=int), _arg("--L", default="QB"))),
+    ("units", _cmd_units, "unit group of the ring of integers", (_arg("--L", required=True),)),
+    ("disc", _cmd_disc, "discriminant of the extension", (_arg("--L", required=True),)),
+    ("ideal-count", _cmd_ideal_count, "ideal-count table a(1..N)",
+     (_FIELD_KEY, _arg("--max", type=int, required=True),
+      _arg("--out", help="write the table as CSV (header n,a_n)"))),
+    ("zeta", _cmd_zeta, "truncated zeta sum of a(n)/n^s",
+     (_FIELD_KEY, _arg("--s", required=True, help="exponent, s > 1 (fraction allowed)"),
+      _arg("--N", type=int, required=True))),
+    ("radix-encode", _cmd_radix_encode, "digit expansion of an integer element",
+     (_ELEMENT, _arg("--base", required=True, help="split:A, jgauss:A, gauss:A+i or gauss:A-i"))),
+    ("radix-decode", _cmd_radix_decode, "evaluate a digit string (msd first)",
+     (_arg("--base", required=True),
+      _arg("--digits", required=True, help="digits, msd first, space or comma separated"))),
+)
+_NAMES = tuple(name for name, *_ in _SUBCOMMANDS)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named one alone; its usage
+    line names every subcommand either way."""
     parser = _Parser(prog="bicomplex",
                      description="Exact arithmetic of bicomplex algebraic numbers.")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def sub(name, handler, help_text, *positionals):
+    # with one subparser the usage line still names every subcommand; the full
+    # parser keeps the default, since its errors name the argument by the metavar
+    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                 metavar=metavar)
+    for name, handler, help_text, arguments in _SUBCOMMANDS:
+        if command not in (None, name):
+            continue
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        for positional in positionals:
-            p.add_argument(positional)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for names, options in argument:
+                    group.add_argument(*names, **options)
+            else:
+                names, options = argument
+                p.add_argument(*names, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    sub("decompose", _cmd_decompose, "idempotent components of an element", "element")
-
-    p = sub("conj", _cmd_conj, "conjugate an element along an axis", "element")
-    p.add_argument("--axis", choices=("i", "j", "k"), required=True)
-
-    sub("norm", _cmd_norm, "norm (product with the three conjugates)", "element")
-
-    sub("minpoly", _cmd_minpoly, "minimal polynomial of an element", "element")
-
-    sub("charpoly4", _cmd_charpoly4, "quartic characteristic polynomial", "element")
-
-    def poly_source(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--poly", help="polynomial literal in X")
-        group.add_argument("--element", help="use the element's minimal polynomial")
-        group.add_argument("--cyclotomic", type=int, metavar="N",
-                           help="use the N-th cyclotomic polynomial")
-
-    p = sub("census", _cmd_census, "bicomplex root census of a squarefree polynomial")
-    poly_source(p)
-
-    p = sub("roots", _cmd_roots, "numeric roots, or exact bicomplex root loci")
-    poly_source(p)
-    p.add_argument("--bicomplex", action="store_true",
-                   help="enumerate the n^2 bicomplex roots exactly by locus")
-
-    p = sub("factor", _cmd_factor, "factor an integral element into primes", "element")
-    p.add_argument("--L", default="QB", help="Qh, QB or custom:K1,K2")
-
-    p = sub("primes-profile", _cmd_primes_profile, "how a rational prime factors")
-    p.add_argument("p", type=int)
-    p.add_argument("--L", default="QB")
-
-    p = sub("units", _cmd_units, "unit group of the ring of integers")
-    p.add_argument("--L", required=True)
-
-    p = sub("disc", _cmd_disc, "discriminant of the extension")
-    p.add_argument("--L", required=True)
-
-    p = sub("ideal-count", _cmd_ideal_count, "ideal-count table a(1..N)")
-    p.add_argument("--K", required=True, help="Q, Qi, Qh or QB")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--out", help="write the table as CSV (header n,a_n)")
-
-    p = sub("zeta", _cmd_zeta, "truncated zeta sum of a(n)/n^s")
-    p.add_argument("--K", required=True, help="Q, Qi, Qh or QB")
-    p.add_argument("--s", required=True, help="exponent, s > 1 (fraction allowed)")
-    p.add_argument("--N", type=int, required=True)
-
-    p = sub("radix-encode", _cmd_radix_encode, "digit expansion of an integer element",
-            "element")
-    p.add_argument("--base", required=True, help="split:A, jgauss:A, gauss:A+i or gauss:A-i")
-
-    p = sub("radix-decode", _cmd_radix_decode, "evaluate a digit string (msd first)")
-    p.add_argument("--base", required=True)
-    p.add_argument("--digits", required=True, help="digits, msd first, space or comma separated")
-
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a subcommand's name builds that subparser
+    # alone; help, a missing or unknown name and a leading option build them all
+    command = argv[0] if argv and argv[0] in _NAMES else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

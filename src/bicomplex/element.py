@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-from .numtheory import DomainError
+from .base import DomainError
 from .scalars import (
     GaussianRational,
     MixedScalarError,

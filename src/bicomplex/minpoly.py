@@ -12,8 +12,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .base import _Record
 from .element import BicomplexElement
-from .numtheory import _Record
 from .polys import IntPoly, Poly
 from .scalars import QuadRational, as_fraction
 

@@ -9,12 +9,12 @@ strong pseudoprime to the bases 2..37 (Sorenson & Webster, Math. Comp. 2017);
 from psi_12 on it is the Baillie-PSW "probable prime" test (Baillie &
 Wagstaff, Math. Comp. 1980), which no known composite passes.
 
-The module also holds what every other module shares: ``DomainError``, the
-marker base of the errors that mean "outside the domain", and ``_Record``,
-the base of the package's immutable result records (``Census``,
-``UnitGroupInfo``, ``Poly`` and the rest), which stands in for frozen
-dataclasses so that only factoring loads ``dataclasses``.  Records are checked
-in ``__post_init__``; ``_Record._make`` is for values that pass by construction.
+The error bases ``DomainError`` and ``WorkBudgetError`` and the record base
+``_Record`` live in ``bicomplex.base`` and are re-exported here.  The other
+modules import them from there and import this one only to factor, so of the
+command lines only those that reach ``rings`` (``factor``, ``primes-profile``,
+``units``, ``disc``, ``ideal-count`` and ``zeta``) or a cyclotomic polynomial
+load it; the checked ``QuadRational`` constructor loads it to test its radicand.
 
 >>> factorint(4999)
 {4999: 1}
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 
+from .base import DomainError, WorkBudgetError, _Record  # noqa: F401 (re-exported)
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
 # Rho splits psi_13 in 1.8e6 steps; 2^128 + 1, whose least prime factor is
@@ -34,94 +36,6 @@ _PSI_12 = 318665857834031151167461
 # max(1, b // 128) steps, so every n below 2^255 is charged one per step and
 # a larger n, whose steps cost more, runs fewer of them.
 RHO_STEP_LIMIT = 3 << 20
-
-
-class DomainError(Exception):
-    """Marker base of the errors that mean the input lies outside the domain
-    of an operation rather than being malformed; each also keeps a builtin
-    base, so ``except ZeroDivisionError`` and the like still catch it."""
-
-
-class WorkBudgetError(DomainError, ArithmeticError):
-    """An operation needs more than its work budget: ``RHO_STEP_LIMIT`` rho
-    steps to factor an integer, ``polys.ISOLATION_WORK_LIMIT`` to count real
-    roots, ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit,
-    ``zeta.TABLE_LENGTH_LIMIT`` entries for an ideal-count table, or
-    ``polys.DEGREE_LIMIT`` for the degree of a polynomial literal or a
-    cyclotomic polynomial."""
-
-
-class _Record:
-    """An immutable record whose fields are the annotated names of its class,
-    in order; a value given in the class body is that field's default.
-
-    As with a frozen dataclass: ``__init__`` takes the fields by position or
-    name and then runs the class's ``__post_init__`` checks, the fields live
-    in the instance ``__dict__`` and cannot be assigned or deleted, records
-    are equal when they are of one class with equal fields, the hash is that
-    of the field tuple, and the repr is ``Name(field=value, ...)``.  A subclass
-    checks its fields in ``__post_init__`` and defines no ``__init__``;
-    ``_make`` skips the checks, so it is only for values that hold them by
-    construction (a product of primitive polynomials is primitive, by Gauss's
-    lemma), while outside input goes through ``__init__``.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        cls._fields += tuple(cls.__annotations__)
-
-    def __init__(self, *args, **kwargs):
-        cls = type(self)
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__} has {len(cls._fields)} fields, not {len(args)}")
-        values = dict(zip(cls._fields, args))
-        for name in cls._fields[len(args):]:
-            if name in kwargs:
-                values[name] = kwargs.pop(name)
-            elif name in cls.__dict__:
-                values[name] = cls.__dict__[name]
-            else:
-                raise TypeError(f"{cls.__name__} needs a value for {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r}, "
-                            f"or it was given twice")
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    @classmethod
-    def _make(cls, *values):
-        """The record of its field values, given in order, without ``__post_init__``;
-        set one by one, as in ``__init__``, they keep CPython's compact instance dict."""
-        record = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(record, name, value)
-        return record
-
-    def __post_init__(self):
-        """Checks of the fields, run by ``__init__``; none unless overridden."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{type(self).__qualname__}({fields})"
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
@@ -228,10 +142,18 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-# The primes from 7 to 997, and their product for the gcd that picks those of
-# n.  Past 37 they are the numbers prime to every witness, since 37^2 > 1000.
-_TRIAL_PRIMES = _MR_WITNESSES[3:] + tuple(
-    p for p in range(38, 1000) if math.gcd(p, math.prod(_MR_WITNESSES)) == 1)
+# The primes from 7 to 997, and their product for the gcd that picks those of n.
+_TRIAL_PRIMES = (
+    7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101,
+    103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
+    197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
+    307, 311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383, 389, 397, 401, 409,
+    419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499, 503, 509, 521,
+    523, 541, 547, 557, 563, 569, 571, 577, 587, 593, 599, 601, 607, 613, 617, 619, 631, 641,
+    643, 647, 653, 659, 661, 673, 677, 683, 691, 701, 709, 719, 727, 733, 739, 743, 751, 757,
+    761, 769, 773, 787, 797, 809, 811, 821, 823, 827, 829, 839, 853, 857, 859, 863, 877, 881,
+    883, 887, 907, 911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997,
+)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 

@@ -25,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .numtheory import WorkBudgetError, _Record, factorint, totient
+from .base import WorkBudgetError, _Record
 from .scalars import format_terms, power
 
 
@@ -484,6 +484,8 @@ def cyclotomic(n: int) -> IntPoly:
     >>> cyclotomic(12)
     IntPoly('X^4 - X^2 + 1')
     """
+    from .numtheory import factorint, totient
+
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if n == 1:

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .base import DomainError, _Record
 from .element import BicomplexElement
-from .numtheory import DomainError, _Record
 from .scalars import as_fraction, as_gaussian
 
 ITERATION_CAP = 10_000

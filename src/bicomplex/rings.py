@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .base import DomainError, WorkBudgetError, _Record
 from .element import BicomplexElement, NullConeError
-from .gaussian import canonical_gaussian_associate, factor_gaussian, is_gaussian_prime
-from .numtheory import DomainError, WorkBudgetError, _Record, factorint
+from .numtheory import factorint
 from .numtheory import is_prime as is_rational_prime
 from .scalars import QuadRational, as_fraction, as_gaussian, is_squarefree_int
 
@@ -138,14 +138,20 @@ class QuadraticField(_Record):
             raise UnsupportedRingError(f"no element factorization over {self}")
 
     def associate(self, x) -> tuple[QuadRational, QuadRational]:
+        from .gaussian import canonical_gaussian_associate
+
         self._require_factorization()
         return canonical_gaussian_associate(as_gaussian(x))
 
     def is_prime(self, x) -> bool:
+        from .gaussian import is_gaussian_prime
+
         self._require_factorization()
         return is_gaussian_prime(as_gaussian(x))
 
     def factor(self, x) -> tuple[QuadRational, list[tuple[QuadRational, int]]]:
+        from .gaussian import factor_gaussian
+
         self._require_factorization()
         return factor_gaussian(as_gaussian(x))
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-from .numtheory import factorint
-
 Rational = (int, Fraction)
 
 
@@ -29,6 +27,8 @@ class MixedScalarError(TypeError):
 
 
 def is_squarefree_int(d: int) -> bool:
+    from .numtheory import factorint
+
     return all(e == 1 for e in factorint(d).values())
 
 

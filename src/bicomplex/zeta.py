@@ -33,8 +33,9 @@ from functools import reduce
 from itertools import compress, repeat
 from operator import add, truediv
 
+from .base import DomainError, WorkBudgetError, _Record
 from .element import BicomplexElement
-from .numtheory import DomainError, WorkBudgetError, _Record, factorint
+from .numtheory import factorint
 from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, UnsupportedRingError,
                     component_class)
 from .scalars import GaussianRational

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 import bicomplex
 from bicomplex import minpoly, polys
 from bicomplex.cli import (
+    _SUBCOMMANDS,
     ParseError,
+    build_parser,
     idempotent_literal,
     main,
     parse_element,
@@ -473,6 +475,46 @@ def test_cli_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys, "factor", "[2, 3]", "--L", "custom:Q(sqrt:2),Q")
     assert code == 1
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_a_subparser_built_alone_prints_the_same_help_and_usage():
+    full = build_parser()
+    every = _subparsers(full)
+    assert list(every) == [name for name, *_ in _SUBCOMMANDS]
+    for name, sub in every.items():
+        alone = build_parser(name)
+        assert list(_subparsers(alone)) == [name]
+        assert alone.format_usage() == full.format_usage()
+        assert _subparsers(alone)[name].format_help() == sub.format_help()
+        assert _subparsers(alone)[name].format_usage() == sub.format_usage()
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    ([], 1, "the following arguments are required: command"),
+    (["frobnicate"], 1, "argument command: invalid choice: 'frobnicate'"),
+    (["--json", "minpoly", "1"], 1, "unrecognized arguments: --json"),
+    (["minpoly", "1", "extra"], 1, "unrecognized arguments: extra"),
+])
+def test_cli_usage_errors_print_the_usage_of_every_subcommand(capsys, argv, code, error):
+    """Only a command line that starts with a subcommand's name builds that
+    subparser alone; its usage line still names every subcommand."""
+    usage = build_parser().format_usage()
+    assert "{" + ",".join(_subparsers(build_parser())) + "}" in usage
+    exit_code, out, err = run(capsys, *argv)
+    assert (exit_code, out) == (code, "")
+    assert err.startswith(f"{usage}bicomplex: error: {error}")  # 3.12 changed how choices are quoted
+
+
+def test_cli_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help text to the terminal width
+    code, out, err = run(capsys, "-h")
+    assert (code, out, err) == (0, build_parser().format_help(), "")
+    for name, _, help_text, _ in _SUBCOMMANDS:
+        assert re.search(rf"^    {re.escape(name)} +{re.escape(help_text)}$", out, re.M), name
 
 
 PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to 2..37

@@ -157,6 +157,17 @@ def _trial_division(n):
     return out
 
 
+def test_trial_primes_are_the_primes_from_7_to_997():
+    """The literal table against a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * 1000
+    sieve[:2] = b"\0\0"
+    for p in range(2, 32):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, 1000, p)))
+    assert numtheory._TRIAL_PRIMES == tuple(p for p in range(7, 1000) if sieve[p])
+    assert numtheory._TRIAL_PRODUCT == prod(numtheory._TRIAL_PRIMES)
+
+
 def test_factorint_matches_trial_division_and_its_key_order():
     """The primes below 1000 come first, ascending, so with at most one prime
     above 1000 the dict lists its keys as trial division does."""

@@ -64,14 +64,20 @@ def test_import_bicomplex_loads_no_submodule():
 
 
 def test_import_cli_loads_only_the_element_layer():
+    """The error and record bases live in ``base``, so no factoring code loads."""
     assert loaded_after("import bicomplex.cli") == {
         "bicomplex", "bicomplex.cli", "bicomplex.element", "bicomplex.scalars",
-        "bicomplex.numtheory"}
+        "bicomplex.base"}
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["disc", "--L", "QB"], {"census", "polys", "minpoly", "zeta", "radix"}),
-    (["minpoly", "1+i+j-k"], {"rings", "gaussian", "zeta", "radix", "census"}),
+    (["disc", "--L", "QB"], {"census", "polys", "minpoly", "zeta", "radix", "gaussian"}),
+    (["minpoly", "1+i+j-k"], {"rings", "gaussian", "zeta", "radix", "census", "numtheory"}),
+    (["units", "--L", "QB"], {"gaussian"}),
+    (["zeta", "--K", "Qh", "--s", "2", "--N", "100"], {"gaussian"}),
+    (["decompose", "1+i+j-k"], {"numtheory"}),
+    (["norm", "[2, 2*i]"], {"numtheory"}),
+    (["radix-encode", "[7, -4]", "--base", "split:-2"], {"numtheory"}),
 ])
 def test_cli_subcommand_loads_only_its_modules(argv, unloaded):
     loaded = loaded_after(f"from bicomplex.cli import main\nassert main({argv!r}) == 0")

@@ -1,7 +1,9 @@
 import itertools
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicomplex.element import BicomplexElement
 from bicomplex.radix import (
@@ -135,6 +137,26 @@ def test_round_trips_medium_range():
             assert all(d in digit_set(base) for d in s.digits)
             assert DigitString(s.digits, base) == s  # built unchecked, so check it here
             assert len(s.digits) <= 64
+
+
+# The seven bases in which every point of the domain has a finite expansion,
+# and the point of each with the given two integer coordinates.
+CNS_BASES = tuple(base for base in ALL_BASES if base != HypGaussBase(-2))
+POINT = {HypSplitBase: hyperbolic, HypGaussBase: j_lattice, GaussBase: gaussian}
+# random integers of 64 to 512 bits, and small ones to mix scales
+large = st.builds(lambda seed, bits: random.Random(seed).getrandbits(bits + 1) - (1 << bits),
+                  st.integers(0, 2 ** 32), st.integers(64, 512))
+coordinates = large | st.integers(-1000, 1000)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(CNS_BASES), large, coordinates)
+def test_round_trips_large_inputs_in_the_cns_bases(base, u, v):
+    x = POINT[type(base)](u, v)
+    s = encode(x, base)
+    assert decode(s) == x
+    assert all(d in digit_set(base) for d in s.digits)
+    assert s.digits[-1] != 0 or s.digits == (0,)
 
 
 def test_hyp_gauss_minus_two_has_cycles():
