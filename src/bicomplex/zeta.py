@@ -20,18 +20,19 @@ once, are marked all together by one strided byte copy per cofactor, and
 one translation turns every mark into a(p), or into 1 where n has no such
 prime.  Then every power p^k of a prime up to isqrt(N) multiplies its slice
 by a(p^k) in one translation that saturates at 255; the few counts left at
-255 are recomputed as ints in ascending order from a(n) = a(p^k) a(n/p^k).
-:func:`zeta_partial` sums the same counts without building the table
-tuple, and :func:`dirichlet_convolve` is the independent oracle.  Tables
-longer than ``TABLE_LENGTH_LIMIT`` are refused before anything is
-allocated.
+255 are recomputed as ints in ascending order from a(n) = a(p^k) a(n/p^k)
+and kept in a dict beside the bytes.  The table tuple is read from the byte
+slices between those fixed counts, and :func:`zeta_partial` sums the same
+bytes and fixes without building any N-long sequence of ints;
+:func:`dirichlet_convolve` is the independent oracle.  Tables longer than
+``TABLE_LENGTH_LIMIT`` are refused before anything is allocated.
 """
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import compress, repeat
-from operator import add, truediv
+from collections import deque
+from itertools import accumulate, chain, compress, repeat
+from operator import truediv
 
 from .base import DomainError, WorkBudgetError, _Record
 from .element import BicomplexElement
@@ -40,9 +41,10 @@ from .rings import (ExtensionDescriptor, Field, GAUSSIAN_FIELD, Q_FIELD, Unsuppo
                     component_class)
 from .scalars import GaussianRational
 
-# The longest table built: a QB table of this length takes about 0.9 s and
-# 183 MiB at peak, most of it the list and the tuple of the counts
-# (Python 3.11, one core); ten times more would need gigabytes.
+# The longest table built: a QB table of this length takes about 0.55 s and
+# 119 MiB at peak, most of it the tuple of the counts (76 MiB of pointers),
+# and its zeta sum about 1.3 s and 53 MiB (Python 3.11, 2-core container);
+# ten times more would need gigabytes.
 TABLE_LENGTH_LIMIT = 10 ** 7
 
 
@@ -232,9 +234,10 @@ def _prime_codes(n_max: int) -> bytearray:
     return codes
 
 
-def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
-    """[1, a(1), ..., a(n_max)]: the counts, indexed by n, of
-    :func:`coefficient_table`."""
+def _ideal_counts(field_or_extension, n_max: int) -> tuple[bytearray, dict[int, int]]:
+    """The counts of :func:`coefficient_table` as bytes indexed by n, with
+    a placeholder at 0, and a dict of the exact counts of the n whose byte
+    saturated at 255."""
     if n_max < 1:
         raise ValueError("table length must be >= 1")
     local, e_max = _local_factor(field_or_extension), n_max.bit_length()
@@ -245,7 +248,7 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
     # leave the table as it is
     by_class = {r: a for r in (1, 2, 3) if (a := local(r, e_max)) != [1] * (e_max + 1)}
     if not by_class:
-        return [1] * (n_max + 1)
+        return bytearray(b"\1") * (n_max + 1), {}
     codes, root = _prime_codes(n_max), math.isqrt(n_max)
     # Primes above the root: n <= n_max has at most one, p, to the first
     # power, and n = m*p with m <= n_max // low.  For ascending m the copy
@@ -278,11 +281,11 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
         for k, (q, read) in enumerate(reads, start=1):
             table = bytes(range(0, 255, a[k])).ljust(256, b"\xff") if a[k] else bytes(256)
             counts[q::q] = read.translate(table)
-    out = list(counts)
     # Fix up the 255s in ascending n: a(n) = a(p^k) a(n / p^k) for the least
     # folded prime p and the power p^k exactly dividing n, and a(n / p^k) is
-    # either a byte below 255 or fixed earlier in this walk.  An n that no
-    # folded prime divides keeps its translated byte, which is exact.
+    # either its byte or fixed earlier in this walk.  An n that no folded
+    # prime divides keeps its translated byte, which is exact.
+    fixes = {}
     n = counts.find(255)
     while n > 0:
         for p in smalls:
@@ -290,10 +293,27 @@ def _ideal_counts(field_or_extension, n_max: int) -> list[int]:
                 m, k = n // p, 1
                 while m % p == 0:
                     m, k = m // p, k + 1
-                out[n] = by_class[p % 4][k] * out[m]
+                fixes[n] = by_class[p % 4][k] * fixes.get(m, counts[m])
                 break
         n = counts.find(255, n + 1)
-    return out
+    return counts, fixes
+
+
+def _count_values(counts: bytearray, fixes: dict[int, int]):
+    """a(1), ..., a(N) from :func:`_ideal_counts`: the bytes, with the fixed
+    counts (keyed in ascending n) in place of their 255s."""
+    if not fixes:
+        return counts[1:]
+
+    def segments():
+        start = 1
+        for n, a in fixes.items():
+            yield counts[start:n]
+            yield (a,)
+            start = n + 1
+        yield counts[start:]
+
+    return chain.from_iterable(segments())
 
 
 def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
@@ -302,10 +322,8 @@ def coefficient_table(field_or_extension, n_max: int) -> CoefficientTable:
     describes.  Raises ``WorkBudgetError`` when N is above
     ``TABLE_LENGTH_LIMIT``.
     """
-    counts = _ideal_counts(field_or_extension, n_max)
-    del counts[0]  # a memmove, so the tuple is the one copy of the counts
     # no O(N) checks: a(1) = 1, and each count is a byte or a product of nonnegative ones
-    return CoefficientTable._make(tuple(counts))
+    return CoefficientTable._make(tuple(_count_values(*_ideal_counts(field_or_extension, n_max))))
 
 
 def zeta_partial(field_or_extension, s, n_max: int) -> float:
@@ -314,9 +332,10 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     Coefficient identities are exact and tested separately; this is only a
     guarded numeric evaluation of the partial sum.  The terms are added left
     to right by plain float addition, so the value does not depend on the
-    Python version (``sum`` compensates float sums from 3.12 on).  Only the
-    terms with a(n) != 0 are computed and added: a zero term adds 0.0 to a
-    positive sum, which leaves it unchanged.
+    Python version (``sum`` compensates float sums from 3.12 on).  When some
+    a(n) is 0, only the terms with a(n) != 0 are computed and added: a zero
+    term adds 0.0 to a positive sum, which leaves it unchanged.  Each n is
+    the float n, exact below 2^53, so n^s is the power an int n gives.
 
     A term whose n^s is 1e300 or more is below half an ulp of a sum that is
     at least a(1) = 1, so the sum stops before it and stays bit-identical;
@@ -331,11 +350,13 @@ def zeta_partial(field_or_extension, s, n_max: int) -> float:
     except OverflowError:
         s = math.inf
     n_max = min(n_max, int(10 ** (300 / s)))
-    counts = _ideal_counts(field_or_extension, n_max)
-    counts[0] = 0  # not a term: compress drops it with the zero counts
-    terms = map(truediv, compress(counts, counts),
-                map(pow, compress(range(n_max + 1), counts), repeat(s)))
-    return reduce(add, terms)
+    counts, fixes = _ideal_counts(field_or_extension, n_max)
+    values, ns = _count_values(counts, fixes), accumulate(repeat(1.0, n_max))
+    if counts.find(0, 1) >= 0:  # the bytes select the nonzero counts: a fixed one reads 255
+        nonzero = memoryview(counts)[1:]
+        values, ns = compress(values, nonzero), compress(ns, nonzero)
+    terms = map(truediv, values, map(pow, ns, repeat(s)))
+    return deque(accumulate(terms), maxlen=1)[0]  # the last running sum
 
 
 def brute_force_ideal_count(field: Field, n: int) -> int:

@@ -491,6 +491,33 @@ def test_cyclotomic_degree_is_totient():
         assert cyclotomic(n).degree == totient(n) == _totient(n)
 
 
+def _cyclotomic_by_divisors(n: int) -> tuple:
+    """Phi_n as the power series of the product of (1 - X^d)^mu(n/d) over the
+    divisors d of n, cut at degree phi(n): one pass per squarefree divisor."""
+    if n == 1:
+        return (-1, 1)
+    top, primes = totient(n), [p for p in range(2, n + 1)
+                               if n % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1))]
+    c = [1] + [0] * top
+    for size in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, size):
+            d = n // math.prod(subset)
+            if size % 2:  # divide by 1 - X^d
+                for i in range(d, top + 1):
+                    c[i] += c[i - d]
+            else:  # multiply by 1 - X^d
+                for i in range(top, d - 1, -1):
+                    c[i] -= c[i - d]
+    return tuple(c)
+
+
+def test_cyclotomic_equals_the_divisor_product():
+    # the radical, Phi_2m(X) = Phi_m(-X) and X -> X^(n/r) against every
+    # divisor pass, up to the seven-prime case 2*3*5*7*11*19*23
+    for n in [*range(1, 2001), 1009470]:
+        assert cyclotomic(n).coeffs == _cyclotomic_by_divisors(n), n
+
+
 def test_cyclotomic_product_recovers_x_n_minus_1():
     for n in (6, 10, 12, 30):
         product = Poly.one()

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -226,9 +230,15 @@ def test_coefficient_table_is_multiplicative(key):
 @pytest.mark.parametrize("key", SIEVE_KEYS, ids=str)
 def test_zeta_partial_is_the_plain_left_to_right_sum(key):
     # zeta_partial skips the terms with a(n) = 0; at 20000 most Q(i) and QB
-    # counts are 0, and adding 0.0 must leave every bit of the sum as it is
-    for n_max in (3000, 20000):
-        values = coefficient_table(key, n_max).values
+    # counts are 0, and adding 0.0 must leave every bit of the sum as it is.
+    # The table and the sum are read from the sieve's bytes and the fixed
+    # counts past a byte, so both are checked against the oracle's prefix:
+    # QB's first count past a byte is a(8840) = 256, so 8839, 8840 and 8841
+    # end them before, at and after the first fixed count.
+    oracle = _oracle_table(key, 20000).values
+    for n_max in (3000, 8839, 8840, 8841, 20000):
+        values = oracle[:n_max]
+        assert coefficient_table(key, n_max).values == values
         for s in (2, 3, Fraction(5, 2)):
             total = 0.0
             for n, a in enumerate(values, start=1):
@@ -262,6 +272,58 @@ def test_table_length_limit(monkeypatch):
             call(51)
     # the sum keeps n <= 10^(300/s), 10 for s = 300, before the length is checked
     assert zeta_partial(QH, 300, 10 ** 8) == 1.0
+
+
+# One child per job: the peak after its first call, then the table's SHA-256
+# (little-endian 4-byte words) or the sum's float.hex() for QB and Qh.  The
+# peak is the child's VmHWM: its ru_maxrss would start from the test
+# process's own peak, which Linux carries through the exec.
+_AT_THE_LIMIT = """
+import hashlib, sys
+from array import array
+from bicomplex.rings import QB, QH
+from bicomplex.zeta import coefficient_table, zeta_partial
+
+def peak_mib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM")) // 1024
+
+def table_digest(key):
+    words = array("I", coefficient_table(key, 10 ** 7).values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return hashlib.sha256(words.tobytes()).hexdigest()
+
+if sys.argv[1] == "table":
+    values = coefficient_table(QB, 10 ** 7).values
+    peak = peak_mib()
+    del values
+    print(peak, table_digest(QB), table_digest(QH))
+else:
+    qb = zeta_partial(QB, 2, 10 ** 7)
+    print(peak_mib(), qb.hex(), zeta_partial(QH, 2, 10 ** 7).hex())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_tables_and_sums_at_the_length_limit():
+    # Only the sieve's bytes and the tuple (or the running sum) are alive:
+    # the table peaks near 119 MiB and the sum near 52 MiB, where an N-long
+    # list of the counts beside them took 183 and 126 MiB.  The digests and
+    # sums are those of the list-based builder they replaced.
+    env = {**os.environ, "PYTHONPATH": str(Path(zeta.__file__).resolve().parents[1])}
+    children = {job: subprocess.Popen([sys.executable, "-c", _AT_THE_LIMIT, job],
+                                      stdout=subprocess.PIPE, text=True, env=env)
+                for job in ("table", "sum")}
+    out = {job: child.communicate(timeout=120)[0].split() for job, child in children.items()}
+    assert all(child.returncode == 0 for child in children.values()), out
+    peak, qb, qh = out["table"]
+    assert int(peak) <= 140, out
+    assert qb == "338fc8ecb0e08b67e80af2fc4051f9636dc359111da0e4293355fedf6781e39c"
+    assert qh == "f04af9f22418573cdd192db5aaf16d0a2e674a963fe04a8bdf663ee7e4010dbb"
+    peak, qb, qh = out["sum"]
+    assert int(peak) <= 100, out
+    assert (qb, qh) == ("0x1.22945df6323eep+1", "0x1.5a57dc039eb64p+1")
 
 
 def test_coefficient_table_errors():
