@@ -21,7 +21,6 @@ _EXPORTS = {
                "enumerate_bicomplex_roots", "locus_factors", "numeric_roots"),
     "element": ("BicomplexElement", "E1", "E2", "I_UNIT", "J_UNIT", "K_UNIT",
                 "NullConeError", "ONE", "ZERO"),
-    "factorization": ("BicomplexFactorization",),
     "gaussian": ("factor_gaussian", "is_gaussian_prime"),
     "minpoly": ("MinPolyResult", "QuarticCoefficients", "eval_at_bicomplex",
                 "minpoly_bicomplex", "minpoly_component", "quartic_charpoly"),
@@ -30,11 +29,12 @@ _EXPORTS = {
               "poly_gcd", "sturm_real_root_count"),
     "radix": ("DigitString", "GaussBase", "HypGaussBase", "HypSplitBase",
               "NonTerminationError", "decode", "digit_set", "encode"),
-    "rings": ("ExtensionDescriptor", "GAUSSIAN_FIELD", "PrimeElementCheck", "PrimeProfile",
-              "QB", "QH", "Q_FIELD", "QuadraticField", "RationalField", "UnitGroupInfo",
-              "UnitInputError", "UnsupportedRingError", "canonical_associate", "discriminant",
-              "discriminant_by_trace_matrix", "factor", "integral_basis", "is_integral",
-              "is_prime_element", "is_unit", "rational_prime_profile", "unit_group"),
+    "rings": ("BicomplexFactorization", "ExtensionDescriptor", "GAUSSIAN_FIELD",
+              "PrimeElementCheck", "PrimeProfile", "QB", "QH", "Q_FIELD", "QuadraticField",
+              "RationalField", "UnitGroupInfo", "UnitInputError", "UnsupportedRingError",
+              "canonical_associate", "discriminant", "discriminant_by_trace_matrix", "factor",
+              "integral_basis", "is_integral", "is_prime_element", "is_unit",
+              "rational_prime_profile", "unit_group"),
     "scalars": ("GaussianRational", "MixedScalarError", "QuadRational"),
     "zeta": ("BicomplexIdeal", "CoefficientTable", "ComponentIdeal", "DegenerateIdealError",
              "brute_force_ideal_count", "coefficient_table", "dirichlet_convolve",

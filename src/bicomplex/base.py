@@ -3,10 +3,11 @@
 ``DomainError`` is the marker base of the errors that mean "outside the
 domain", and ``WorkBudgetError`` the one raised when an operation needs more
 than its work budget.  ``_Record`` is the base of the package's immutable
-result records (``Census``, ``UnitGroupInfo``, ``Poly`` and the rest), which
-stands in for frozen dataclasses so that only factoring loads ``dataclasses``.
-Records are checked in ``__post_init__``; ``_Record._make`` is for values that
-pass by construction.
+result records (``Census``, ``UnitGroupInfo``, ``Poly``,
+``BicomplexFactorization`` and the rest), which stands in for frozen
+dataclasses so that no import of the package loads ``dataclasses`` (and with
+it ``inspect``).  Records are checked in ``__post_init__``; ``_Record._make``
+is for values that pass by construction.
 
 The module imports nothing, so the element layer and the command line load it
 without loading the factoring code of ``numtheory``, which re-exports these names.

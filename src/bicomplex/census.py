@@ -103,9 +103,6 @@ class RootPartition(_Record):
     plane_k: tuple[BicomplexElement, ...]
     generic: tuple[BicomplexElement, ...]
 
-    def all_roots(self) -> tuple[BicomplexElement, ...]:
-        return self.real + self.plane_i + self.plane_j + self.plane_k + self.generic
-
     def sizes(self) -> tuple[int, int, int, int, int]:
         return (len(self.real), len(self.plane_i), len(self.plane_j),
                 len(self.plane_k), len(self.generic))

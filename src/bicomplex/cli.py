@@ -550,6 +550,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# Entries per json.dumps call when an array payload (an ideal-count table) is
+# written; the slices' texts joined by ", " are the text of one dumps.
+JSON_SLICE = 1 << 16
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a command line that starts with a subcommand's name builds that subparser
@@ -567,7 +572,16 @@ def main(argv=None) -> int:
     if args.json:
         import json
 
-        print(json.dumps(payload, sort_keys=True))
+        if isinstance(payload, tuple):
+            # a table of 10^7 counts: one dumps would build its whole text beside it
+            write = sys.stdout.write
+            write("[")
+            for start in range(0, len(payload), JSON_SLICE):
+                write(", " if start else "")
+                write(json.dumps(payload[start:start + JSON_SLICE], sort_keys=True)[1:-1])
+            write("]\n")
+        else:
+            print(json.dumps(payload, sort_keys=True))
     else:
         # one write per chunk of lines: an unbuffered stdout writes each call through
         lines = iter(lines)

@@ -28,9 +28,6 @@ from .scalars import (
     power,
 )
 
-CONJUGATION_AXES = ("i", "j", "k")
-
-
 class NullConeError(DomainError, ZeroDivisionError):
     """Raised when inverting (or otherwise requiring invertibility of) a
     bicomplex number with a zero idempotent component."""
@@ -158,19 +155,6 @@ class BicomplexElement:
         returned as a QuadRational.
         """
         return abs_sq(self._c1 * self._c2)
-
-    def coordinate_recovery_check(self) -> bool:
-        """Verify the four conjugation averages reproduce (x, y, z, t)."""
-        x, y, z, t = self.to_cartesian()
-        ci, cj, ck = (self.conjugate(u) for u in CONJUGATION_AXES)
-        quarter = Fraction(1, 4)
-        checks = [
-            ((self + ci + cj + ck).scale(quarter), x),
-            ((self + ci - cj - ck).scale(quarter) * I_UNIT.invert(), y),
-            ((self - ci + cj - ck).scale(quarter) * J_UNIT.invert(), z),
-            ((self - ci - cj + ck).scale(quarter) * K_UNIT.invert(), t),
-        ]
-        return all(value == BicomplexElement.from_rational(coord) for value, coord in checks)
 
     # -- misc ----------------------------------------------------------------
 

@@ -24,10 +24,6 @@ Pair = tuple[int, int]
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def gaussian_int(re: int, im: int = 0) -> QuadRational:
-    return GaussianRational(re, im)
-
-
 def is_gaussian_integer(g: QuadRational) -> bool:
     return g.re.denominator == 1 and g.im.denominator == 1
 
@@ -36,11 +32,6 @@ def _pair(g: QuadRational) -> Pair:
     if not is_gaussian_integer(g):
         raise ValueError(f"{g} is not a Gaussian integer")
     return g.re.numerator, g.im.numerator
-
-
-def gaussian_norm(g: QuadRational) -> int:
-    a, b = _pair(g)
-    return a * a + b * b
 
 
 def _canonical(z: Pair) -> tuple[int, Pair]:
@@ -78,23 +69,6 @@ def canonical_gaussian_associate(g: QuadRational) -> tuple[QuadRational, QuadRat
     quadrant (re > 0, im >= 0)."""
     k, w = _canonical(_pair(g))
     return GaussianRational(*_I_POWERS[k]), GaussianRational(*w)
-
-
-def exact_gaussian_div(g: QuadRational, h: QuadRational) -> QuadRational | None:
-    """g / h when h exactly divides g in Z[i], otherwise None."""
-    z, w = _pair(g), _pair(h)
-    if w == (0, 0):
-        raise ZeroDivisionError("division by zero Gaussian integer")
-    q = _exact_div(z, w)
-    return None if q is None else GaussianRational(*q)
-
-
-def gaussian_gcd(g: QuadRational, h: QuadRational) -> QuadRational:
-    """A greatest common divisor, returned as its canonical associate."""
-    z, w = _pair(g), _pair(h)
-    if z == w == (0, 0):
-        raise ValueError("gcd(0, 0) is undefined")
-    return GaussianRational(*_canonical(_gcd(z, w))[1])
 
 
 def is_gaussian_prime(g: QuadRational) -> bool:

@@ -8,7 +8,9 @@ discriminant and unit order, and for the two principal component rings
 exercised here, Z and Z[i], the canonical associate, primality and
 factorization (other fields raise UnsupportedRingError).  Prime elements
 are, up to units, e1, e2 and the two nondegenerate shapes pi*e1 + e2 and
-e1 + pi*e2 with pi prime in its component ring.
+e1 + pi*e2 with pi prime in its component ring.  :func:`factor` returns a
+unit and prime powers of these as a :class:`BicomplexFactorization`, a
+``base._Record`` like every result record here.
 
 Elements of an extension are representable as BicomplexElement values
 whenever at most one radicand occurs among the two component fields (always
@@ -374,6 +376,17 @@ def is_prime_element(element: BicomplexElement, L: ExtensionDescriptor) -> Prime
 
 # -- unique factorization ------------------------------------------------------
 
+class BicomplexFactorization(_Record):
+    unit: BicomplexElement
+    factors: tuple[tuple[BicomplexElement, int], ...]
+
+    def recompose(self) -> BicomplexElement:
+        result = self.unit
+        for prime, exponent in self.factors:
+            result = result * prime ** exponent
+        return result
+
+
 def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactorization:
     """Unique factorization into canonical primes of the two nondegenerate
     shapes, valid over extensions whose component rings are Z or Z[i].
@@ -381,8 +394,6 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     Raises NullConeError for elements of zero norm and UnitInputError for
     units; the recomposition unit * prod(prime^exp) is exact.
     """
-    from .factorization import BicomplexFactorization
-
     L.K1._require_factorization()
     L.K2._require_factorization()
     if not is_integral(element, L):
@@ -397,7 +408,7 @@ def factor(element: BicomplexElement, L: ExtensionDescriptor) -> BicomplexFactor
     unit2, pairs2 = L.K2.factor(element.c2)
     factors = [(BicomplexElement(p, 1), e) for p, e in pairs1]
     factors += [(BicomplexElement(1, p), e) for p, e in pairs2]
-    return BicomplexFactorization(unit=BicomplexElement(unit1, unit2), factors=tuple(factors))
+    return BicomplexFactorization._make(BicomplexElement(unit1, unit2), tuple(factors))
 
 
 class PrimeProfile(_Record):

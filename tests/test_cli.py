@@ -15,6 +15,7 @@ import bicomplex
 from bicomplex import minpoly, polys
 from bicomplex.cli import (
     _SUBCOMMANDS,
+    JSON_SLICE,
     ParseError,
     build_parser,
     idempotent_literal,
@@ -33,7 +34,7 @@ from bicomplex.polys import Poly, format_poly
 from bicomplex.radix import GaussBase, HypGaussBase, HypSplitBase
 from bicomplex.rings import PELL_BIT_LIMIT, ExtensionDescriptor, QB, QH, QuadraticField, Q_FIELD
 from bicomplex.scalars import GaussianRational
-from bicomplex.zeta import TABLE_LENGTH_LIMIT
+from bicomplex.zeta import TABLE_LENGTH_LIMIT, coefficient_table
 
 
 def run(capsys, *argv):
@@ -227,6 +228,17 @@ def test_cli_ideal_count_json(capsys):
     code, out, _ = run(capsys, "ideal-count", "--K", "QB", "--max", "5", "--json")
     assert code == 0
     assert json.loads(out) == [1, 2, 0, 3, 4]
+
+
+@pytest.mark.parametrize("key", ["Q", "Qi", "Qh", "QB"])
+def test_cli_ideal_count_json_is_one_dumps(capsys, key):
+    """The array goes out a slice at a time; its bytes are those of one
+    json.dumps, at QB's first count past a byte (a(8840) = 256) and past a
+    slice boundary too."""
+    for n in (1, 20, 8841, JSON_SLICE + 1):
+        code, out, _ = run(capsys, "ideal-count", "--K", key, "--max", str(n), "--json")
+        values = coefficient_table(parse_table_key(key), n).values
+        assert (code, out) == (0, json.dumps(values, sort_keys=True) + "\n")
 
 
 def test_cli_ideal_count_csv(tmp_path, capsys):

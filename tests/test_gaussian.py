@@ -5,17 +5,37 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bicomplex.gaussian import (
+    _canonical,
+    _exact_div,
+    _gcd,
+    _pair,
     canonical_gaussian_associate,
-    exact_gaussian_div,
     factor_gaussian,
-    gaussian_gcd,
-    gaussian_int,
-    gaussian_norm,
     is_gaussian_prime,
 )
 from bicomplex import numtheory
 from bicomplex.numtheory import factorint, is_prime, sqrt_minus_one_mod
 from bicomplex.scalars import GaussianRational
+
+
+# Oracles on the module's integer kernels, which factor_gaussian runs.
+gaussian_int = GaussianRational
+
+
+def gaussian_norm(g):
+    a, b = _pair(g)
+    return a * a + b * b
+
+
+def exact_gaussian_div(g, h):
+    """g / h when the nonzero h exactly divides g in Z[i], otherwise None."""
+    q = _exact_div(_pair(g), _pair(h))
+    return None if q is None else GaussianRational(*q)
+
+
+def gaussian_gcd(g, h):
+    """A greatest common divisor of g and h, not both zero, as its canonical associate."""
+    return GaussianRational(*_canonical(_gcd(_pair(g), _pair(h)))[1])
 
 
 def recompose(unit, factors):

@@ -30,15 +30,15 @@ PUBLIC_NAMES = [
     "coefficient_table", "content_primitive", "cyclotomic", "decode", "digit_set",
     "dirichlet_convolve", "discriminant", "discriminant_by_trace_matrix", "element",
     "encode", "enumerate_bicomplex_roots", "eval_at_bicomplex", "factor", "factor_gaussian",
-    "factorization", "gaussian", "ideal_norm", "integral_basis", "is_gaussian_prime",
+    "gaussian", "ideal_norm", "integral_basis", "is_gaussian_prime",
     "is_integral", "is_prime_element", "is_prime_ideal", "is_squarefree", "is_unit", "jacobi_r",
     "locus_factors", "minpoly", "minpoly_bicomplex", "minpoly_component", "numeric_roots",
     "numtheory", "poly_gcd", "polys", "principal_ideal", "quartic_charpoly", "radix",
     "rational_prime_profile", "rings", "scalars", "sturm_real_root_count", "unit_group",
     "zeta", "zeta_partial",
 ]
-SUBMODULES = {"element", "factorization", "gaussian", "minpoly", "numtheory", "polys",
-              "radix", "rings", "scalars", "zeta"}
+SUBMODULES = {"element", "gaussian", "minpoly", "numtheory", "polys", "radix", "rings",
+              "scalars", "zeta"}
 
 
 def fresh(code: str) -> str:
@@ -84,32 +84,49 @@ def test_cli_subcommand_loads_only_its_modules(argv, unloaded):
     assert not loaded & {f"bicomplex.{name}" for name in unloaded}
 
 
-# One README command line for each subcommand but factor and primes-profile,
-# whose result record (rings.factor's) is the package's one dataclass.
-README_LINES_WITHOUT_FACTORING = [
+# One README command line for each subcommand.
+README_LINES = [
     ["minpoly", "1+i+j-k"], ["decompose", "1+i+j-k"], ["conj", "1+i+j-k", "--axis", "j"],
     ["norm", "[2, 2*i]"], ["charpoly4", "1+i+j-k"],
     ["census", "--poly", "X^3 - 2*X^2 + 4*X - 8"], ["roots", "--poly", "X^2 + 1"],
     ["units", "--L", "QB"], ["disc", "--L", "QB"], ["ideal-count", "--K", "QB", "--max", "20"],
     ["zeta", "--K", "Qh", "--s", "2", "--N", "10000"],
+    ["factor", "[6, 35]", "--L", "Qh"], ["factor", "5", "--L", "QB"],
+    ["primes-profile", "3", "--L", "QB"],
     ["radix-encode", "[7, -4]", "--base", "split:-2"],
     ["radix-decode", "--base", "split:-2", "--digits", "1 4 3 0 3 5"],
 ]
 
+# dataclasses (with inspect, which it imports) was most of the CLI's start-up;
+# only what a bare ``import argparse, fractions`` loads may be there.
+HEAVY = "heavy = ('dataclasses', 'inspect')\nbefore = {m for m in heavy if m in sys.modules}\n"
+NEW_HEAVY = "sorted(m for m in heavy if m in sys.modules and m not in before)"
 
-def test_cli_loads_no_dataclasses_except_to_factor():
-    """dataclasses (with inspect, which it imports) was most of the CLI's
-    start-up; only what a bare ``import argparse, fractions`` loads may be there."""
-    out = fresh("import sys, argparse, fractions\n"
-                "heavy = ('dataclasses', 'inspect')\n"
-                "before = {m for m in heavy if m in sys.modules}\n"
+
+def test_cli_loads_no_dataclasses():
+    out = fresh(f"import sys, argparse, fractions\n{HEAVY}"
                 "from bicomplex.cli import main\n"
-                f"codes = [main(argv) for argv in {README_LINES_WITHOUT_FACTORING!r}]\n"
-                "print(codes, sorted(m for m in heavy if m in sys.modules and m not in before))")
-    assert out.splitlines()[-1] == f"{[0] * len(README_LINES_WITHOUT_FACTORING)} []"
+                f"codes = [main(argv) for argv in {README_LINES!r}]\n"
+                f"print(codes, {NEW_HEAVY})")
+    assert out.splitlines()[-1] == f"{[0] * len(README_LINES)} []"
     every = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
-    assert {argv[0] for argv in README_LINES_WITHOUT_FACTORING} == set(every) - {
-        "factor", "primes-profile"}
+    assert {argv[0] for argv in README_LINES} == set(every)
+
+
+def test_factoring_loads_no_dataclasses():
+    """The factorization record is a ``base._Record`` like the rest."""
+    out = fresh(f"import sys, fractions\n{HEAVY}"
+                "import bicomplex\n"
+                "from bicomplex.element import BicomplexElement as B\n"
+                "from bicomplex.scalars import GaussianRational as G\n"
+                "f = bicomplex.factor(B(G(45, 55), G(58, 52)), bicomplex.QB)\n"
+                "g = bicomplex.factor(B(6, 35), bicomplex.QH)\n"
+                "p = bicomplex.rational_prime_profile(3, bicomplex.QB)\n"
+                "q = bicomplex.rational_prime_profile(5, bicomplex.QH)\n"
+                "assert f.recompose() == B(G(45, 55), G(58, 52)) and g.recompose() == B(6, 35)\n"
+                "assert p.semiprime and q.semiprime\n"
+                f"print(type(f).__module__, {NEW_HEAVY})")
+    assert out.strip() == "bicomplex.rings []"
 
 
 def test_public_names():

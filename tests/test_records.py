@@ -13,12 +13,12 @@ import pytest
 
 from bicomplex.census import Census, LocusFactors, RootPartition
 from bicomplex.element import ONE, BicomplexElement
-from bicomplex.factorization import BicomplexFactorization
 from bicomplex.minpoly import MinPolyResult, QuarticCoefficients
 from bicomplex.polys import IntPoly, Poly
 from bicomplex.radix import DigitString, GaussBase, HypGaussBase, HypSplitBase
 from bicomplex.rings import (
     QH,
+    BicomplexFactorization,
     ExtensionDescriptor,
     PrimeElementCheck,
     PrimeProfile,
