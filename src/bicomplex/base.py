@@ -23,8 +23,10 @@ class DomainError(Exception):
 
 class WorkBudgetError(DomainError, ArithmeticError):
     """An operation needs more than its work budget: ``RHO_STEP_LIMIT`` rho
-    steps to factor an integer, ``polys.ISOLATION_WORK_LIMIT`` to count real
-    roots, ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit,
+    steps to factor an integer, ``polys.SQUAREFREE_WORK_LIMIT`` coefficient
+    updates to test a polynomial for squarefreeness,
+    ``polys.ISOLATION_WORK_LIMIT`` to count real roots,
+    ``rings.PELL_BIT_LIMIT`` bits for a fundamental unit,
     ``zeta.TABLE_LENGTH_LIMIT`` entries for an ideal-count table, or
     ``polys.DEGREE_LIMIT`` for the degree of a polynomial literal or a
     cyclotomic polynomial."""

@@ -8,7 +8,8 @@ use ``X`` with explicit ``*`` and ``^``, e.g. ``X^3 - 2*X^2 + 4*X - 8``.
 Exit codes: 0 on success, 1 on usage errors (bad syntax, unknown flags or
 descriptors), 2 on domain errors (null cone, non-terminating expansions,
 degenerate ideals, factoring a unit, an integer that rho cannot split within
-``numtheory.RHO_STEP_LIMIT`` steps, a real-root count past
+``numtheory.RHO_STEP_LIMIT`` steps, a squarefree test past
+``polys.SQUAREFREE_WORK_LIMIT`` coefficient updates, a real-root count past
 ``polys.ISOLATION_WORK_LIMIT``, a fundamental unit past
 ``rings.PELL_BIT_LIMIT`` bits, a table past ``zeta.TABLE_LENGTH_LIMIT``
 entries, a polynomial literal or cyclotomic polynomial of degree past

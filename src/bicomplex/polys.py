@@ -333,6 +333,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 # The squarefree test's prime, the largest below 2^30: one CPython digit.
 _MODULUS = (1 << 30) - 35
+# Coefficient updates the squarefree test may make: each pass over a remainder
+# is charged its length.  A dense input of degree 4000 takes 8.0e6 of them, in
+# about 2 s (2-core container, Python 3.11); a census product of degree 64
+# takes about 2100 and X^50000 - 3X + 1 about 100000.
+SQUAREFREE_WORK_LIMIT = 1 << 23
 # Taylor-shift word additions a real-root count may take: n(n + 1) per Taylor
 # shift of degree n, times the 64-bit words of its largest coefficient grown
 # by n bits, since the shift's partial sums stay below 2^(n+1) times it.
@@ -346,32 +351,57 @@ def is_squarefree(p: IntPoly) -> bool:
 
     A square factor of p stays one, of its degree, mod a prime q that does not
     divide lead(p), so a constant gcd(p, p') mod q proves p squarefree; if it
-    is not constant, the integer remainder sequence decides."""
+    is not constant, the integer remainder sequence decides.  Each division of
+    the Euclid mod q is charged the coefficients it rewrites (see
+    :func:`_rem_mod`), and ``WorkBudgetError`` is raised when the total passes
+    ``SQUAREFREE_WORK_LIMIT``: a dense p of degree n costs about n^2 / 2, a
+    sparse one such as X^n - 3X + 1 about 2n."""
     if p.degree < 1:
         raise ValueError("squarefreeness is only defined for degree >= 1")
     dp = _primitive([i * c for i, c in enumerate(p.coeffs)][1:])
     a = [c % _MODULUS for c in p.coeffs]
     b = _trim([c % _MODULUS for c in dp]) if p.lead % _MODULUS else ()
+    budget = SQUAREFREE_WORK_LIMIT
     while b:  # Euclid mod q
-        a, b = b, _rem_mod(a, b)
+        a, (b, budget) = b, _rem_mod(a, b, budget)
     return len(a) == 1 or len(_remainder_gcd(p.coeffs, dp)) == 1
 
 
-def _rem_mod(a, b) -> tuple[int, ...]:
-    """The remainder of a by b mod _MODULUS, both reduced and b trimmed.
+def _squarefree_budget_error() -> WorkBudgetError:
+    return WorkBudgetError(f"the squarefree test needs more than {SQUAREFREE_WORK_LIMIT} "
+                           "coefficient updates")
 
-    Each elimination step takes its quotient digit as the top term of a over
-    lead(b) mod q, which divides by b made monic, and rewrites only the
-    len(b) - 1 terms of a below that top.  So a step costs the divisor's
-    length, and a division by a remainder of degree 1 is linear in the degree
-    of a.  The rewritten terms are reduced once at the end: each step adds
-    less than q^2 to a term."""
+
+def _rem_mod(a, b, budget) -> tuple[tuple[int, ...], int]:
+    """The remainder of a by b mod _MODULUS, both reduced and b trimmed, and
+    what is left of budget after the division is charged.
+
+    A quotient of degree one, t1*X + t0, is every step of a normal remainder
+    sequence: t1 = a[-1] / b[-1] and t0 = (a[-2] - t1*b[-2]) / b[-1] mod q
+    come from the top two terms of a, and the remainder a - t1*X*b - t0*b is
+    one reduced pass over a, b shifted up by one, and b, charged len(b).  Any
+    other quotient, which arises on sparse inputs where the divisor is short,
+    is divided out a digit at a time: each nonzero digit, the top term of a
+    over lead(b) mod q, rewrites only the len(b) - 1 terms below that top and
+    is charged that many, so a division by a remainder of degree 1 is linear
+    in the degree of a.  Those terms are reduced once at the end, since each
+    step adds less than q^2 to a term.  Raises ``WorkBudgetError`` before a
+    pass whose charge would overdraw budget."""
     n, q = len(b) - 1, _MODULUS
-    inverse, tail, rem = pow(b[-1], -1, q), b[:n], list(a)
+    inverse = pow(b[-1], -1, q)
+    if len(a) == n + 2 and n:
+        if (budget := budget - n - 1) < 0:
+            raise _squarefree_budget_error()
+        t1 = a[-1] * inverse % q
+        t0 = (a[-2] - t1 * b[-2]) * inverse % q
+        return _trim([(x - t1 * y - t0 * z) % q for x, y, z in zip(a, (0, *b), b)]), budget
+    tail, rem = b[:n], list(a)
     for k in range(len(rem) - 1, n - 1, -1):
         if top := rem[k] * inverse % q:
+            if (budget := budget - n) < 0:
+                raise _squarefree_budget_error()
             rem[k - n:k] = [c - top * d for c, d in zip(rem[k - n:k], tail)]
-    return _trim([c % q for c in rem[:n]])
+    return _trim([c % q for c in rem[:n]]), budget
 
 
 def _shifted(c) -> list[int]:

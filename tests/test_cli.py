@@ -640,6 +640,14 @@ def test_cli_census_squarefree_test_is_linear_on_a_sparse_input():
     assert str(polys.ISOLATION_WORK_LIMIT) in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cli_roots_stops_the_squarefree_test_at_its_work_limit():
+    # Phi_1009470 has degree 190080 and builds in about 1 s; the Euclid mod q
+    # of its squarefree test, quadratic on a dense input, ran for minutes
+    done = run_subprocess("roots", "--cyclotomic", "1009470", timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert str(polys.SQUAREFREE_WORK_LIMIT) in done.stderr and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])
 def test_cli_ideal_count_reports_an_unwritable_out_file(tmp_path, where):
     done = run_subprocess("ideal-count", "--K", "Qh", "--max", "10", "--out",

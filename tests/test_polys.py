@@ -310,6 +310,82 @@ def test_squarefree_falls_back_to_the_integer_gcd(monkeypatch):
     assert len(calls) == 3
 
 
+def _long_division_mod_q(a, b, q):
+    """The remainder of a by b mod q, one quotient digit at a time, and the
+    number of nonzero digits."""
+    rem, inverse, digits = list(a), pow(b[-1], -1, q), 0
+    while len(rem) >= len(b):
+        top = rem.pop() * inverse % q
+        digits += top != 0
+        for i, d in enumerate(b[:-1], len(rem) - len(b) + 1):
+            rem[i] = (rem[i] - top * d) % q
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(rem), digits
+
+
+def test_rem_mod_matches_long_division_mod_q():
+    q, rng = polys._MODULUS, random.Random(3001)
+
+    def residue():
+        return rng.choice((0, 1, q - 1, rng.randrange(q)))
+
+    for _ in range(3000):
+        n = rng.randrange(8)  # divisor degree; 0 is a constant divisor
+        b = tuple([residue() for _ in range(n)] + [rng.randrange(1, q)])
+        a = [residue() for _ in range(n + rng.randrange(4) + 1)]  # quotient degree 0-3
+        a[-1] = rng.choice((0, rng.randrange(1, q)))  # zero and nonzero tops
+        expected, digits = _long_division_mod_q(a, b, q)
+        if len(a) == n + 2 and n:  # a degree-one quotient: one pass over b's length
+            charge = n + 1
+        else:  # digit by digit: the n terms below each nonzero digit
+            charge = n * digits
+        assert polys._rem_mod(a, b, charge) == (expected, 0), (a, b)
+        if charge:
+            with pytest.raises(WorkBudgetError):
+                polys._rem_mod(a, b, charge - 1)
+
+
+def _distinct_factors(rng, degree):
+    """Distinct primitive irreducible factors of total degree ``degree``:
+    linear ones, and quadratics with no real root."""
+    factors = set()
+    while (left := degree - sum(len(f) - 1 for f in factors)) > 0:
+        if left == 1 or rng.random() < 0.5:
+            c0, c1 = rng.randint(-40, 40), rng.randint(1, 12)
+            if math.gcd(c0, c1) == 1:
+                factors.add((c0, c1))
+        else:
+            c0, c1, c2 = rng.randint(1, 30), rng.randint(-20, 20), rng.randint(1, 8)
+            if c1 * c1 < 4 * c0 * c2 and math.gcd(c0, c1, c2) == 1:
+                factors.add((c0, c1, c2))
+    return [IntPoly.of(*f) for f in sorted(factors)]
+
+
+def test_is_squarefree_on_products_known_by_construction():
+    # distinct irreducible factors multiply to a squarefree polynomial; one
+    # factor taken twice makes it not squarefree
+    rng = random.Random(3002)
+    for degree in [*range(1, 33), 40, 48, 64]:
+        factors = _distinct_factors(rng, degree)
+        p = math.prod(factors, start=IntPoly.of(1))
+        assert is_squarefree(p)
+        assert not is_squarefree(p * rng.choice(factors))
+
+
+def test_squarefree_test_stops_at_its_work_limit(monkeypatch):
+    rng = random.Random(3003)
+    dense = IntPoly.of(*[rng.randint(-99, 99) for _ in range(200)], 1)
+    assert is_squarefree(dense)  # its Euclid mod q charges about 200^2 / 2
+    monkeypatch.setattr(polys, "SQUAREFREE_WORK_LIMIT", 10_000)
+    with pytest.raises(WorkBudgetError, match="more than 10000 coefficient updates"):
+        is_squarefree(dense)
+    # a sparse input is charged about twice its degree: one pass over p', then
+    # a digit of one term for each power of X in p' over a linear remainder
+    monkeypatch.setattr(polys, "SQUAREFREE_WORK_LIMIT", 100_000)
+    assert is_squarefree(IntPoly.of(1, -3, *[0] * 49_998, 1))
+
+
 def test_sturm_examples():
     assert sturm_real_root_count(IntPoly.of(1, 0, 1)) == 0
     assert sturm_real_root_count(IntPoly.of(-2, 0, 1)) == 2
