@@ -112,14 +112,21 @@ def _checked_roots(roots) -> tuple[tuple[QuadRational, ...], list[int]]:
     """The roots as Gaussian rationals, and the index of each one's conjugate.
 
     Raises ValueError unless the roots lie in Q(i), are distinct and are
-    closed under conjugation."""
+    closed under conjugation.  Each root is keyed by the integers of its
+    reduced parts, (re numerator, re denominator, im numerator, im
+    denominator), so equal values have equal keys, and a conjugate's key is
+    the one with the im numerator negated."""
     roots = tuple(map(as_gaussian, roots))
-    index = {root: k for k, root in enumerate(roots)}
+    keys = []
+    for root in roots:
+        re, im = root.re, root.im
+        keys.append((re.numerator, re.denominator, im.numerator, im.denominator))
+    index = {key: k for k, key in enumerate(keys)}
     if len(index) != len(roots):
         raise ValueError("duplicate roots in root set")
     conj = []
-    for root in roots:
-        if (k := index.get(root.conjugate())) is None:
+    for root, (a, b, c, d) in zip(roots, keys):
+        if (k := index.get((a, b, -c, d))) is None:
             raise ValueError(f"root set is not closed under conjugation: {root} unpaired")
         conj.append(k)
     return roots, conj
@@ -198,6 +205,10 @@ def locus_factors(roots, lead: int = 1) -> LocusFactors:
     polynomials of the r real roots and the product P of those of the s
     conjugate pairs.  The factors are R, P, R^(r-1), P and
     R^(2s) * P^(r+2s-2), computed as :class:`IntPoly` and made monic once.
+    The powers of R and P are built by Miller's recurrence (see
+    :meth:`IntPoly.__pow__`), each coefficient from the ones below it and the
+    few small coefficients of R or P; only R^(2s) * P^(r+2s-2) multiplies two
+    large polynomials.
     """
     roots, _ = _checked_roots(roots)
     if lead <= 0:
@@ -274,10 +285,13 @@ def numeric_roots(p: IntPoly) -> list[complex]:
     A floating cross-check oracle only; exact computations never consume its
     output.  Starts from perturbed points near the unit circle and stops when
     the largest update drops below TOL, raising RootConvergenceError at the
-    iteration cap or as soon as an iterate overflows to inf or NaN.
+    iteration cap or as soon as an iterate overflows to inf or NaN.  Raises
+    ValueError on a constant or a polynomial that is not squarefree.
     """
+    if p.degree < 1:
+        raise ValueError("roots needs degree >= 1")
     if not is_squarefree(p):
-        raise ValueError("numeric_roots expects a squarefree polynomial")
+        raise ValueError("roots is defined for squarefree polynomials only")
     n = p.degree
     lead = float(p.lead)
     monic = [float(c) / lead for c in p.coeffs]

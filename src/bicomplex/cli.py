@@ -332,6 +332,8 @@ def _cmd_roots(args):
         approx = numeric_roots(poly)
         lines = [f"{z.real:.12g}{z.imag:+.12g}*i" for z in approx]
         return lines, {"roots": [[z.real, z.imag] for z in approx]}
+    if poly.degree < 1:
+        raise ValueError("roots --bicomplex needs degree >= 1")
     if args.poly is not None and not is_squarefree(poly):
         raise ValueError("roots --bicomplex is defined for squarefree polynomials only")
     if args.element is None and poly.degree > 2:  # an element's components have degree <= 2

@@ -13,10 +13,12 @@ Products follow Gauss's lemma: a product of rational polynomials is the
 product of their contents times the product of their primitive parts, so each
 factor's content is one gcd of its numerators, the primitive parts are
 multiplied as integer polynomials, and only the product of the scales is
-reduced.  The gcd is one integer pseudo-remainder sequence.  A gcd(p, p') mod
-one word-size prime proves most polynomials squarefree without it.  Real roots
-are counted by Descartes' rule of signs on integer Taylor shifts, as continued
-fractions that step past a lower bound on the positive roots.
+reduced.  An :class:`IntPoly` is raised to a power by Miller's recurrence,
+one coefficient at a time.  The gcd is one integer pseudo-remainder sequence.
+A gcd(p, p') mod one word-size prime proves most polynomials squarefree
+without it.  Real roots are counted by Descartes' rule of signs on integer
+Taylor shifts, as continued fractions that step past a lower bound on the
+positive roots.
 """
 from __future__ import annotations
 
@@ -250,9 +252,34 @@ class IntPoly(_Record):
         return IntPoly._make(tuple(_convolve(self.coeffs, other.coeffs)))
 
     def __pow__(self, n: int) -> IntPoly:
+        """self^n by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7;
+        Zeilberger, J. Difference Equ. Appl. 1, 1995).
+
+        Write self = X^e * g with g(0) = g_0 != 0 and deg g = d.  Then h = g^n
+        satisfies g * h' = n * g' * h, and comparing the coefficients of X^(m-1)
+        gives h_0 = g_0^n and, for m >= 1,
+
+            m * g_0 * h_m = sum over j = 1..min(m, d) of ((n + 1) * j - m) * g_j * h_(m-j).
+
+        h has integer coefficients, so each division by m * g_0 is exact.  Each
+        of the about d * d * n products multiplies a coefficient of h by a
+        small one of g, where square-and-multiply ends in a squaring of two
+        large polynomials.  The result is X^(e*n) * h."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        return power(self, n, IntPoly._make((1,)))
+        coeffs = self.coeffs
+        e = 0
+        while not coeffs[e]:
+            e += 1
+        g0, h = coeffs[e], [coeffs[e] ** n]
+        terms = [(j, (n + 1) * j, c) for j, c in enumerate(coeffs[e + 1:], 1)]
+        d = len(terms)
+        for m in range(1, d * n + 1):
+            acc = 0
+            for j, nj, c in terms if m >= d else terms[:m]:
+                acc += (nj - m) * c * h[m - j]
+            h.append(acc // (m * g0))
+        return IntPoly._make((0,) * (e * n) + tuple(h))
 
 
 def content_primitive(p: Poly) -> tuple[Fraction, IntPoly]:

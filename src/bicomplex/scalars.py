@@ -12,7 +12,9 @@ Equality and hashing are by numeric value: a quadratic rational with
 ``b == 0`` equals, and hashes as, the plain rational ``a``.
 
 :func:`format_terms` writes every signed sum the package prints, and
-:func:`power` is the one square-and-multiply loop behind each ``__pow__``.
+:func:`power` is the square-and-multiply loop behind the ``__pow__`` of
+scalars, elements and :class:`polys.Poly`; :class:`polys.IntPoly` powers by
+Miller's recurrence instead.
 """
 from __future__ import annotations
 

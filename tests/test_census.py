@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from bicomplex.census import (
     Census,
     RootConvergenceError,
     RootPartition,
+    _checked_roots,
     census,
     census_cyclotomic,
     classify_pair,
@@ -131,6 +133,38 @@ def test_enumerate_rejects_bad_sets():
             build([QuadRational(2, 1, 1), QuadRational(2, 1, -1)])
 
 
+def test_root_check_keys_roots_by_value():
+    # the check keys each root by the integers of its reduced parts: one value
+    # in four types is one key, and a real root is its own conjugate
+    one = [1, Fraction(2, 2), G(1), QuadRational(3, 1, 0)]
+    for build in (enumerate_bicomplex_roots, locus_factors):
+        for a, b in itertools.combinations(one, 2):
+            with pytest.raises(ValueError, match="^duplicate roots in root set$"):
+                build([a, G(0, 1), b, G(0, -1)])
+        for root in one + [Fraction(-5, 3), 0]:
+            build([root])
+    roots, conj = _checked_roots([Fraction(1, 2), G(2, 3), 0, G(2, -3), QuadRational(7, 4)])
+    assert conj == [0, 3, 2, 1, 4]
+    assert roots == (G(Fraction(1, 2)), G(2, 3), G(0), G(2, -3), G(4))
+    assert all(root.D == -1 for root in roots)
+
+
+def test_root_check_messages():
+    cases = [
+        ([G(1, 2)], "root set is not closed under conjugation: 1+2*i unpaired"),
+        ([G(1, Fraction(1, 2)), G(1, Fraction(-1, 3))],
+         "root set is not closed under conjugation: 1+1/2*i unpaired"),
+        ([G(-1, 2), G(1, -2)], "root set is not closed under conjugation: -1+2*i unpaired"),
+        ([QuadRational(-3, 0, 1)],
+         "QuadRational(-3, Fraction(0, 1), Fraction(1, 1)) does not lie in Q(i)"),
+    ]
+    for build in (enumerate_bicomplex_roots, locus_factors):
+        for roots, message in cases:
+            with pytest.raises(ValueError) as caught:
+                build(roots)
+            assert str(caught.value) == message
+
+
 def test_rational_roots_are_gaussian_roots():
     assert enumerate_bicomplex_roots([1, 2]) == enumerate_bicomplex_roots([G(1), G(2)])
     assert enumerate_bicomplex_roots([1, 2]).sizes() == (2, 0, 2, 0, 0)
@@ -138,22 +172,27 @@ def test_rational_roots_are_gaussian_roots():
     assert locus_factors([QuadRational(3, 5)]).real == Poly.of(-5, 1)
 
 
+def _root_set(rng, n: int, s: int, zero: bool = False) -> list:
+    """A shuffled conjugation-closed set of n Gaussian rational roots with s
+    conjugate pairs, r = n - 2s real; with ``zero``, 0 is one of the real ones."""
+    roots: set = {G(0)} if zero else set()
+    while len(roots) < n - 2 * s:
+        roots.add(G(Fraction(rng.randint(-20, 20), rng.randint(1, 6))))
+    while len(roots) < n:
+        root = G(Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+                 Fraction(rng.randint(1, 20), rng.randint(1, 6)))
+        roots |= {root, root.conjugate()}
+    roots = sorted(roots, key=lambda z: (z.re, z.im))
+    rng.shuffle(roots)
+    return roots
+
+
 def _root_sets(seed: int):
-    """A shuffled conjugation-closed set of Gaussian rational roots for each
-    degree n <= 10 and each number s of conjugate pairs, r = n - 2s real."""
+    """A root set for each degree n <= 10 and each number s of conjugate pairs."""
     rng = random.Random(seed)
     for n in range(1, 11):
         for s in range(n // 2 + 1):
-            roots: set = set()
-            while len(roots) < n - 2 * s:
-                roots.add(G(Fraction(rng.randint(-20, 20), rng.randint(1, 6))))
-            while len(roots) < n:
-                root = G(Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
-                         Fraction(rng.randint(1, 20), rng.randint(1, 6)))
-                roots |= {root, root.conjugate()}
-            roots = sorted(roots, key=lambda z: (z.re, z.im))
-            rng.shuffle(roots)
-            yield roots
+            yield _root_set(rng, n, s)
 
 
 def test_enumeration_buckets_every_pair_by_classify_pair():
@@ -166,8 +205,30 @@ def test_enumeration_buckets_every_pair_by_classify_pair():
         assert enumerate_bicomplex_roots(roots) == expected
 
 
+def test_enumeration_of_mixed_types_matches_classify_pair():
+    # real roots given as Gaussian rationals, Fractions, ints and QuadRationals
+    # of another radicand: one key each, so each set enumerates as its Gaussian form
+    rng = random.Random(74)
+    for roots in _root_sets(75):
+        given = [root if root.im else rng.choice(
+                     (root, root.re, QuadRational(2, root.re),
+                      int(root.re) if root.re.denominator == 1 else root.re))
+                 for root in roots]
+        expected = {name: [] for name in LOCUS_NAMES}
+        for alpha in roots:
+            for beta in roots:
+                expected[classify_pair(alpha, beta)].append(BicomplexElement(alpha, beta))
+        assert enumerate_bicomplex_roots(given) == RootPartition(
+            **{name: tuple(vals) for name, vals in expected.items()})
+
+
 def test_locus_product_matches_fraction_schoolbook():
-    for roots in _root_sets(72):
+    # up to n = 20, where the powers of R and P have degree up to 360, and
+    # with 0 among the roots, so that R(0) = 0 and R = X^e * g in the powers
+    rng = random.Random(73)
+    large = [_root_set(rng, n, s, zero=True) for n, s in ((11, 2), (14, 0), (16, 7), (20, 3))]
+    large += [_root_set(rng, 20, 10), _root_set(rng, 3, 1, zero=True)]
+    for roots in itertools.chain(_root_sets(72), large):
         factors = locus_factors(roots, lead=3)
         expected = Poly.one()
         for name in LOCUS_NAMES:
@@ -307,6 +368,13 @@ def test_numeric_roots_examples():
             hi = mid
     roots = numeric_roots(IntPoly.of(-2, 0, 1))
     assert sorted(round(z.real, 8) for z in roots) == [-round(lo, 8), round(lo, 8)]
+
+
+def test_numeric_roots_refuses_constants_and_repeated_roots():
+    with pytest.raises(ValueError, match="^roots needs degree >= 1$"):
+        numeric_roots(IntPoly.of(1))
+    with pytest.raises(ValueError, match="^roots is defined for squarefree polynomials only$"):
+        numeric_roots(IntPoly.of(1, -2, 1))
 
 
 def test_numeric_roots_never_returns_non_finite_values():

@@ -648,6 +648,18 @@ def test_cli_roots_stops_the_squarefree_test_at_its_work_limit():
     assert str(polys.SQUAREFREE_WORK_LIMIT) in done.stderr and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("roots", "--poly", "5"), "roots needs degree >= 1"),
+    (("roots", "--poly", "X^2-2*X+1"), "roots is defined for squarefree polynomials only"),
+    (("roots", "--poly", "5", "--bicomplex"), "roots --bicomplex needs degree >= 1"),
+    (("roots", "--poly", "5", "--json"), "roots needs degree >= 1"),
+])
+def test_cli_roots_refusals_name_the_command(argv, message):
+    # as census does: these named the library's squarefree test or numeric_roots
+    done = run_subprocess(*argv, timeout=30)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-directory", "directory"])
 def test_cli_ideal_count_reports_an_unwritable_out_file(tmp_path, where):
     done = run_subprocess("ideal-count", "--K", "Qh", "--max", "10", "--out",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bicomplex import polys
+from bicomplex import polys, scalars
 from bicomplex.numtheory import WorkBudgetError, totient
 from bicomplex.polys import (
     IntPoly,
@@ -642,6 +642,25 @@ def test_trusted_kernel_results_pass_the_checked_constructor():
         assert IntPoly(prim.coeffs) == prim
     for phi in map(cyclotomic, range(1, 201)):
         assert IntPoly(phi.coeffs) == phi
+
+
+def test_int_poly_power_matches_square_and_multiply():
+    # IntPoly.__pow__ runs Miller's recurrence on p = X^e * g, g(0) != 0;
+    # scalars.power, the square-and-multiply loop, is the oracle
+    rng = random.Random(41)
+    one = IntPoly.of(1)
+    shifted = 0
+    for _ in range(150):
+        p = _random_primitive(rng)
+        if rng.random() < 0.3:
+            p = IntPoly.of(*[0] * rng.randrange(1, 4), *p.coeffs)
+        shifted += p.coeffs[0] == 0
+        for k in range(13):
+            assert p ** k == scalars.power(p, k, one)
+    assert shifted > 30
+    assert IntPoly.of(0, 1) ** 5 == IntPoly.of(0, 0, 0, 0, 0, 1)
+    with pytest.raises(ValueError):
+        IntPoly.of(1, 1) ** -1
 
 
 def test_make_takes_no_more_memory_than_init():
